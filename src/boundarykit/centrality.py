@@ -20,8 +20,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 WORKERS_ENV = "BOUNDARYKIT_WORKERS"
+# stress1 takes rows in blocks whose neighbors' degrees sum to about this
+_GATHER_BUDGET = 1 << 22
 
 
 def resolve_workers(workers=None):
@@ -56,6 +59,16 @@ def as_csr(graph):
     else:
         indices = np.empty(0, dtype=np.int64)
     return indptr, indices
+
+
+def _adjacency(indptr, indices):
+    """The 0/1 adjacency over the CSR arrays as a scipy sparse array.
+
+    The ones are float64, the dtype of csgraph and of products with float
+    vectors, so neither copies the data; integer sums stay exact below 2**53.
+    """
+    n = len(indptr) - 1
+    return sp.csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
 def _out_edges(indptr, indices, frontier):
@@ -206,27 +219,25 @@ def restricted_stress(graph, delta):
 
 
 def stress1(graph):
-    """Pairs of neighbors not directly linked: C(deg, 2) minus edges among neighbors."""
-    indptr, indices = as_csr(graph)
-    n = len(indptr) - 1
-    degs = np.diff(indptr)
-    out = (degs * (degs - 1)) // 2
-    for v in range(n):
-        nv = indices[indptr[v]:indptr[v + 1]]
-        d = len(nv)
-        if d < 2:
-            continue
-        # Gather the neighbor lists of all neighbors in one flat slice,
-        # then count members that are themselves neighbors of v.
-        cnts = indptr[nv + 1] - indptr[nv]
-        total = int(cnts.sum())
-        starts = np.cumsum(cnts) - cnts
-        flat = np.repeat(indptr[nv] - starts, cnts) + np.arange(total)
-        nbrs2 = indices[flat]
-        pos = np.searchsorted(nv, nbrs2)
-        pos[pos == d] = 0
-        hits = int(np.count_nonzero(nv[pos] == nbrs2))
-        out[v] -= hits // 2  # each neighbor-neighbor edge seen from both ends
+    """Pairs of neighbors not directly linked: C(deg, 2) minus triangles at the node.
+
+    Twice the triangles at v is the row sum of (A @ A) * A.  Rows are taken
+    in blocks whose gather, the sum of the neighbors' degrees, stays near a
+    fixed budget, which bounds the A[rows] @ A intermediate at any density.
+    """
+    return _stress1(_adjacency(*as_csr(graph)))
+
+
+def _stress1(a):
+    """stress1 from the adjacency built by ``_adjacency``."""
+    degs = np.diff(a.indptr).astype(np.int64)
+    out = degs * (degs - 1) // 2
+    gather = a @ degs
+    _, starts = np.unique((np.cumsum(gather) - gather) // _GATHER_BUDGET,
+                          return_index=True)
+    for lo, hi in zip(starts, [*starts[1:], len(degs)]):
+        rows = a[lo:hi]
+        out[lo:hi] -= (rows @ a).multiply(rows).sum(axis=1).astype(np.int64) // 2
     return out
 
 

@@ -188,14 +188,6 @@ def _contains_mask(region, pts):
     return inside
 
 
-def _on_boundary(region, p):
-    px, py = p
-    for ax, ay, bx, by in region.edge_array():
-        if _cross(ax, ay, bx, by, px, py) == 0.0 and _on_segment(px, py, ax, ay, bx, by):
-            return True
-    return False
-
-
 def _on_boundary_mask(region, pts):
     edges = region.edge_array()
     ax, ay, bx, by = edges[:, 0], edges[:, 1], edges[:, 2], edges[:, 3]
@@ -216,11 +208,9 @@ def contains(region, p):
     boolean mask.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim == 2:
-        return _contains_mask(region, p) | _on_boundary_mask(region, p)
-    if _on_boundary(region, p):
-        return True
-    return bool(_contains_mask(region, p[None, :])[0])
+    pts = p if p.ndim == 2 else p.reshape(1, 2)
+    inside = _contains_mask(region, pts) | _on_boundary_mask(region, pts)
+    return inside if p.ndim == 2 else bool(inside[0])
 
 
 def distance_to_boundary(region, p):

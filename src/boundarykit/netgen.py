@@ -56,16 +56,17 @@ class SensorNetwork:
         return f"SensorNetwork(n={self.n}, m={m}, radius={self.radius})"
 
 
-def _csr_from_edges(n, u, v):
-    """Build sorted CSR adjacency from undirected edge endpoint arrays."""
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst.astype(np.int64, copy=False)
+def _csr_from_edge_keys(n, key):
+    """Sorted CSR adjacency from int64 keys u * n + v, one per undirected edge.
+
+    With the reversed keys added, sorting the keys puts the rows in order and
+    each row's columns in order; the keys mod n are then the indices array.
+    """
+    key = np.concatenate([key, key % n * n + key // n])
+    key.sort()
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(key, n, out=key)
+    return indptr, key
 
 
 def adjacency_from_positions(positions, radius):
@@ -92,8 +93,7 @@ def adjacency_from_positions(positions, radius):
         ids = order[starts[i]:starts[i + 1]]
         keys[(int(sc[starts[i], 0]), int(sc[starts[i], 1]))] = np.sort(ids)
 
-    us = []
-    vs = []
+    edge_keys = []  # u * n + v for every edge u-v
     for (ix, iy) in sorted(keys):
         a = keys[(ix, iy)]
         pa = positions[a]
@@ -102,8 +102,7 @@ def adjacency_from_positions(positions, radius):
             d2 = np.sum((pa[:, None, :] - pa[None, :, :]) ** 2, axis=2)
             ii, jj = np.nonzero(np.triu(d2 <= r2, k=1))
             if len(ii):
-                us.append(a[ii])
-                vs.append(a[jj])
+                edge_keys.append(a[ii] * n + a[jj])
         # pairs against forward-neighbor cells
         for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
             b = keys.get((ix + dx, iy + dy))
@@ -113,15 +112,10 @@ def adjacency_from_positions(positions, radius):
             d2 = np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)
             ii, jj = np.nonzero(d2 <= r2)
             if len(ii):
-                us.append(a[ii])
-                vs.append(b[jj])
-    if us:
-        u = np.concatenate(us)
-        v = np.concatenate(vs)
-    else:
-        u = np.empty(0, dtype=np.int64)
-        v = np.empty(0, dtype=np.int64)
-    return _csr_from_edges(n, u, v)
+                edge_keys.append(a[ii] * n + b[jj])
+    key = np.concatenate(edge_keys or [np.empty(0, dtype=np.int64)])
+    del edge_keys  # the pieces would double the edge memory while the CSR is built
+    return _csr_from_edge_keys(n, key)
 
 
 def build_network(region, n, radius, seed):
@@ -240,7 +234,8 @@ def load_network(path, region=None):
         ev.append(v)
     eu = np.asarray(eu, dtype=np.int64)
     ev = np.asarray(ev, dtype=np.int64)
-    if len(eu) and len(np.unique(eu * np.int64(n) + ev)) != len(eu):
+    key = eu * np.int64(n) + ev
+    if len(np.unique(key)) != len(key):
         fail("duplicate edge in file", len(lines))
-    indptr, indices = _csr_from_edges(n, eu, ev)
+    indptr, indices = _csr_from_edge_keys(n, key)
     return SensorNetwork(pos, radius, indptr, indices, region=region)

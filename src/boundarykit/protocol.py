@@ -36,8 +36,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph
 
-from .centrality import as_csr, _out_edges, st_from_stress1, stress1 as _stress1_all
+from .centrality import _adjacency, _out_edges, _stress1, as_csr, st_from_stress1
 from .theory import clipped_disk_area, neighborhood_st, sigma_interior
 
 RULES = ("core", "one-hop")
@@ -165,34 +166,6 @@ class ProtocolTrace:
             classification="boundary" if self.labels[v] else "interior")
 
 
-def _components(indptr, indices, n):
-    """Component id per node; ids ordered by each component's smallest node."""
-    comp = np.full(n, -1, dtype=np.int64)
-    nxt = 0
-    for s in range(n):
-        if comp[s] >= 0:
-            continue
-        comp[s] = nxt
-        frontier = np.array([s], dtype=np.int64)
-        while len(frontier):
-            _, dst = _out_edges(indptr, indices, frontier)
-            new = dst[comp[dst] < 0]
-            if len(new) == 0:
-                break
-            frontier = np.unique(new)
-            comp[frontier] = nxt
-        nxt += 1
-    return comp, nxt
-
-
-def _neighbor_sums(indptr, indices, values):
-    """Sum of ``values`` over each node's neighbors, in CSR order."""
-    out = np.zeros(len(indptr) - 1, dtype=values.dtype)
-    rows = indptr[1:] > indptr[:-1]
-    out[rows] = np.add.reduceat(values[indices], indptr[:-1][rows])
-    return out
-
-
 def _smoothed_mode(dense, window):
     """Argmax of the histogram after a centered moving average.
 
@@ -218,18 +191,19 @@ def run_protocol(graph, config=None):
     if n == 0:
         raise ValueError("network must contain at least one node")
     degs = np.diff(indptr)
-    src_all = np.repeat(np.arange(n, dtype=np.int64), degs)
-    dst_all = indices
+    adj = _adjacency(indptr, indices)
 
-    comp, ncomp = _components(indptr, indices, n)
+    # The adjacency is symmetric, so its strong components are the connected
+    # components, found without the transpose that directed=False builds;
+    # the ids come ordered by each component's smallest node.
+    ncomp, comp = csgraph.connected_components(adj, directed=True, connection="strong")
+    comp = comp.astype(np.int64)
     trace = ProtocolTrace(n=n, component_id=comp, degrees=degs.astype(np.int64))
     rnd = 0
 
     # Component roots: explicit root wins its own component, every other
     # component falls back to its minimum id (which is its BFS seed).
-    comp_min = np.full(ncomp, n, dtype=np.int64)
-    np.minimum.at(comp_min, comp, np.arange(n))
-    roots = comp_min.copy()
+    _, roots = np.unique(comp, return_index=True)
     if config.root is not None:
         if not (0 <= config.root < n):
             raise ValueError(f"explicit root {config.root} is not a node id")
@@ -239,17 +213,21 @@ def run_protocol(graph, config=None):
     participating = np.ones(n, dtype=bool)
     if config.root is not None:
         participating = comp != comp[config.root]
-    best = np.arange(n, dtype=np.int64)
+    best = np.arange(n, dtype=np.int32)  # int32 halves the per-edge gather below
     active = participating.copy()
+    has_nbrs = degs > 0
     while True:
-        senders = np.nonzero(active & (degs > 0))[0]
+        senders = np.nonzero(active & has_nbrs)[0]
         if len(senders) == 0:
             break
         rnd += 1
         trace.rounds.append(RoundRecord(rnd, 1, len(senders), len(senders)))
-        mask = active[src_all]
+        # a node hears the ids of its active neighbors: its CSR row, as the
+        # adjacency is symmetric
         snapshot = best.copy()
-        np.minimum.at(best, dst_all[mask], snapshot[src_all[mask]])
+        heard = np.minimum.reduceat(np.where(active, snapshot, n)[indices],
+                                    indptr[:-1][has_nbrs])
+        best[has_nbrs] = np.minimum(best[has_nbrs], heard)
         active = best < snapshot
 
     # -- phase 2: BFS tree; announcements carry (level) for roots and
@@ -332,7 +310,7 @@ def run_protocol(graph, config=None):
     if len(senders):
         rnd += 1
         trace.rounds.append(RoundRecord(rnd, 5, len(senders), int(degs[senders].sum())))
-    s1 = _stress1_all(graph)
+    s1 = _stress1(adj)
     declared = s1 <= thresholds[comp]  # degree <= 1 gives stress1 = 0 <= T, boundary
 
     # -- phase 6: decision rule, declaration exchange and neighborhood filter
@@ -346,8 +324,8 @@ def run_protocol(graph, config=None):
         if senders:
             rnd += 1
             trace.rounds.append(RoundRecord(rnd, 6, senders, senders))
-        mean_st = (st + _neighbor_sums(indptr, indices, st)) / closed
-        s_closed = s1 + _neighbor_sums(indptr, indices, s1)
+        mean_st = (st + adj @ st) / closed
+        s_closed = s1 + (adj @ s1).astype(np.int64)
         # 6b: S out; rank = neighbors with a lower S / (deg + 1), compared
         # exactly, needed only where the other two core conditions hold
         if senders:
@@ -364,7 +342,7 @@ def run_protocol(graph, config=None):
         if senders:
             rnd += 1
             trace.rounds.append(RoundRecord(rnd, 6, senders, senders))
-        cores_near = core + _neighbor_sums(indptr, indices, core.astype(np.int64))
+        cores_near = core + adj @ core
         declared = (cores_near >= _CORE_COUNT) | (degs <= 1)
 
     labels = declared.copy()
@@ -374,10 +352,7 @@ def run_protocol(graph, config=None):
         if len(senders):
             rnd += 1
             trace.rounds.append(RoundRecord(rnd, 6, len(senders), len(senders)))
-        nb_declared = np.zeros(n, dtype=np.int64)
-        mask = declared[src_all]
-        np.add.at(nb_declared, dst_all[mask], 1)
-        keep = declared & (nb_declared >= config.filter_min_boundary_neighbors)
+        keep = declared & (adj @ declared >= config.filter_min_boundary_neighbors)
         filtered = declared & ~keep
         labels = keep
 
@@ -410,26 +385,17 @@ def boundary_strips(graph, labels):
     Returns a list of sorted id arrays, largest component first (ties by
     smallest member id).
     """
-    indptr, indices = as_csr(graph)
-    n = len(indptr) - 1
+    adj = _adjacency(*as_csr(graph))
     labels = np.asarray(labels, dtype=bool)
-    seen = np.zeros(n, dtype=bool)
-    strips = []
-    for s in range(n):
-        if not labels[s] or seen[s]:
-            continue
-        seen[s] = True
-        members = [np.array([s], dtype=np.int64)]
-        frontier = members[0]
-        while len(frontier):
-            _, dst = _out_edges(indptr, indices, frontier)
-            new = np.unique(dst[labels[dst] & ~seen[dst]])
-            if len(new) == 0:
-                break
-            seen[new] = True
-            members.append(new)
-            frontier = new
-        strips.append(np.sort(np.concatenate(members)))
+    if labels.shape != (adj.shape[0],):
+        raise ValueError(f"labels must have one entry per node ({adj.shape[0]}), "
+                         f"got shape {labels.shape}")
+    idx = np.flatnonzero(labels)
+    if len(idx) == 0:
+        return []
+    _, comp = csgraph.connected_components(adj[idx][:, idx], directed=False)
+    # idx is ascending, so a stable sort by component keeps each strip sorted
+    strips = np.split(idx[np.argsort(comp, kind="stable")], np.cumsum(np.bincount(comp))[:-1])
     strips.sort(key=lambda a: (-len(a), int(a[0])))
     return strips
 

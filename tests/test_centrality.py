@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st_
 
 import boundarykit as bk
@@ -129,6 +130,23 @@ def test_stress1_triangle():
 
 def test_stress1_path3():
     assert bk.stress1(PATH3).tolist() == [0, 1, 0]
+
+
+def test_stress1_empty_and_isolated():
+    assert bk.stress1([]).tolist() == []
+    assert bk.stress1([[], []]).tolist() == [0, 0]
+
+
+def test_stress1_matches_unblocked_reference(net20k):
+    # C(d, 2) - rowsum((A @ A) * A) / 2 in one product; the network is
+    # large enough that stress1 splits its rows into several blocks
+    n = net20k.n
+    a = sp.csr_array((np.ones(len(net20k.indices), dtype=np.int64),
+                      net20k.indices, net20k.indptr), shape=(n, n))
+    deg = np.diff(net20k.indptr).astype(np.int64)
+    assert (a @ deg).sum() > 4 * bk.centrality._GATHER_BUDGET
+    ref = deg * (deg - 1) // 2 - (a @ a).multiply(a).sum(axis=1) // 2
+    assert np.array_equal(bk.stress1(net20k), ref)
 
 
 def test_st_star_hub_full():

@@ -127,14 +127,45 @@ def test_election_and_tree():
 
 
 def test_multi_component():
-    # two disjoint triangles
-    adj = [[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]]
-    labels, trace = default_run(adj)
-    assert trace.multi_component
-    assert len(trace.components) == 2
-    assert [c.root for c in trace.components] == [0, 3]
-    assert all(c.dhat == 2 for c in trace.components)
-    assert labels.all()
+    cases = [
+        # two disjoint triangles
+        ([[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]], [0, 0, 0, 1, 1, 1], [0, 3], 2, True),
+        # two interleaved edges, {0, 2} and {1, 3}; the filter drops every
+        # declaration, since no node has two declared neighbors
+        ([[2], [3], [0], [1]], [0, 1, 0, 1], [0, 1], 1, False),
+    ]
+    for adj, component_id, roots, dhat, boundary in cases:
+        labels, trace = default_run(adj)
+        assert trace.multi_component
+        assert trace.component_id.tolist() == component_id
+        assert [c.root for c in trace.components] == roots
+        assert all(c.dhat == dhat for c in trace.components)
+        assert trace.declared.all()
+        assert (labels == boundary).all()
+
+
+def test_phase1_rounds_match_flooding_reference():
+    # min-id flooding node by node: a node whose id estimate fell in the
+    # last round sends it to every neighbor
+    sparse = network(8, n=150, r=0.6)
+    for net, root in ((network(3), None), (sparse, None), (sparse, 5)):
+        adj = [net.neighbors(v).tolist() for v in range(net.n)]
+        _, trace = default_run(net, root=root)
+        comp = trace.component_id
+        best = list(range(net.n))
+        active = [root is None or comp[v] != comp[root] for v in range(net.n)]
+        expect = []
+        while any(active[v] and adj[v] for v in range(net.n)):
+            senders = [v for v in range(net.n) if active[v] and adj[v]]
+            expect.append(len(senders))
+            new = best[:]
+            for u in senders:
+                for w in adj[u]:
+                    new[w] = min(new[w], best[u])
+            active = [new[v] < best[v] for v in range(net.n)]
+            best = new
+        assert [r.messages for r in trace.rounds if r.phase == 1] == expect
+    assert trace.multi_component  # the sparse network has several components
 
 
 def test_explicit_root():
@@ -304,11 +335,23 @@ def test_strips_whole_component():
 
 
 def test_strips_split_and_order():
-    #  0-1-2   5-6   (labels on a path graph)
-    adj = [[1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 6], [5]]
-    labels = np.array([True, True, True, False, False, True, True])
+    # labels on the path 1-0-(9)-5-3-4-(2)-8-7-(6); bracketed nodes unlabeled
+    chain = [1, 0, 9, 5, 3, 4, 2, 8, 7, 6]
+    adj = [[] for _ in chain]
+    for a, b in zip(chain, chain[1:]):
+        adj[a].append(b)
+        adj[b].append(a)
+    labels = ~np.isin(np.arange(10), [9, 2, 6])
     strips = bk.boundary_strips(adj, labels)
-    assert [sorted(s) for s in strips] == [[0, 1, 2], [5, 6]]
+    # largest first, the tie of two 2-strips by smallest id, each strip sorted
+    assert [s.tolist() for s in strips] == [[3, 4, 5], [0, 1], [7, 8]]
+
+
+def test_strips_reject_label_length():
+    adj = [[1], [0, 2], [1]]
+    for bad in (np.ones(2, dtype=bool), np.ones(4, dtype=bool)):
+        with pytest.raises(ValueError):
+            bk.boundary_strips(adj, bad)
 
 
 def test_annulus_two_strips(annulus_run):
