@@ -7,10 +7,11 @@ whose two endpoints both lie within a hop ball around the node; ``stress1``
 and ``normalized_st`` are the purely local quantities used by the boundary
 protocol.
 
-Per-source passes are independent, so the heavy measures accept a
-``workers`` argument that partitions sources into contiguous blocks; block
-results are reduced in block order, making the output independent of the
-worker count (bitwise for the integer measures).
+The four path measures share one kernel, Brandes' algorithm as sparse
+products: blocks of sources walk forward one BFS level per product with
+the adjacency, then sum dependencies back up.  Blocks run on ``workers``
+threads and are summed in block order, so results do not depend on the
+worker count.  Integer counts are exact or raise NumericalError.
 """
 
 from __future__ import annotations
@@ -18,13 +19,21 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import NumericalError
+
 WORKERS_ENV = "BOUNDARYKIT_WORKERS"
 # stress1 takes rows in blocks whose neighbors' degrees sum to about this
 _GATHER_BUDGET = 1 << 22
+# the path measures take sources in blocks that touch about this many edges
+_PATH_BUDGET = 1 << 21
+_INT64_END = 1 << 63
+_LOW32 = (1 << 32) - 1
+_OVERFLOW = "shortest-path counts exceed the int64 range"
 
 
 def resolve_workers(workers=None):
@@ -61,131 +70,163 @@ def as_csr(graph):
     return indptr, indices
 
 
-def _adjacency(indptr, indices):
+def _adjacency(indptr, indices, dtype=float):
     """The 0/1 adjacency over the CSR arrays as a scipy sparse array.
 
-    The ones are float64, the dtype of csgraph and of products with float
-    vectors, so neither copies the data; integer sums stay exact below 2**53.
+    The ones default to float64, the dtype of csgraph and of products with
+    float vectors, so neither copies the data; integer sums stay exact below 2**53.
     """
     n = len(indptr) - 1
-    return sp.csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    return sp.csr_array((np.ones(len(indices), dtype=dtype), indices, indptr), shape=(n, n))
 
 
-def _out_edges(indptr, indices, frontier):
-    """All (src, dst) pairs leaving the frontier, as flat arrays."""
-    counts = indptr[frontier + 1] - indptr[frontier]
-    total = int(counts.sum())
-    if total == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    starts = np.cumsum(counts) - counts
-    flat = np.repeat(indptr[frontier] - starts, counts) + np.arange(total)
-    return np.repeat(frontier, counts), indices[flat]
+def _blocks(work, budget):
+    """Consecutive index ranges (lo, hi) whose work sums to about ``budget``."""
+    _, starts = np.unique((np.cumsum(work) - work) // budget, return_index=True)
+    return list(zip(starts, [*starts[1:], len(work)]))
 
 
-def _bfs_dag(indptr, indices, s, n, max_depth=None):
-    """Level BFS from s: (dist, sigma, levels) with sigma = shortest-path counts."""
-    dist = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.int64)
-    dist[s] = 0
-    sigma[s] = 1
-    frontier = np.array([s], dtype=np.int64)
-    levels = [frontier]
-    depth = 0
-    while len(frontier):
-        if max_depth is not None and depth >= max_depth:
+def _like(m, data):
+    return sp.csr_array((data, m.indices, m.indptr), shape=m.shape)
+
+
+def _pattern(m):
+    return _like(m, np.ones_like(m.data))
+
+
+def _add(x, y):
+    """x + y for nonnegative x and y; an int64 entry that wraps reads negative."""
+    z = x + y
+    if z.dtype.kind == "i" and z.nnz and z.data.min() < 0:
+        raise NumericalError(_OVERFLOW)
+    return z
+
+
+def _product(x, a):
+    """x @ a for nonnegative x, raising NumericalError on a non-finite float
+    or inexact int64 entry.  When max(x) * n (n bounds every degree) reaches
+    2**63, x's 32-bit halves are summed apart; hi + (lo >> 32) counts the
+    whole 2**32 units of each exact entry."""
+    y = x @ a
+    if x.dtype.kind == "f" and not np.isfinite(y.data).all():
+        raise NumericalError("shortest-path counts overflow float64")
+    if x.dtype.kind == "i" and x.nnz and int(x.data.max()) * a.shape[0] >= _INT64_END:
+        hi, lo = _like(x, x.data >> 32) @ a, _like(x, x.data & _LOW32) @ a
+        lo.data >>= 32
+        if (hi + lo).max() >= 1 << 31:
+            raise NumericalError(_OVERFLOW)
+    return y
+
+
+def _levels(a, level, depth):
+    """Forward pass from level 0, one row per source: level j, up to
+    ``depth``, is canonical and holds sigma, the number of shortest paths
+    from the row's source, on the nodes at hop distance j.  Masking levels
+    j - 1 and j from ``level @ a`` leaves level j + 1."""
+    levels, seen = [level], _pattern(level)
+    while depth is None or len(levels) <= depth:
+        step = _product(level, a)
+        level = step - step.multiply(seen)
+        if not level.nnz:
             break
-        src, dst = _out_edges(indptr, indices, frontier)
-        new = dst[dist[dst] < 0]
-        if len(new) == 0:
-            break
-        frontier = np.unique(new)
-        depth += 1
-        dist[frontier] = depth
-        dag = dist[dst] == depth
-        np.add.at(sigma, dst[dag], sigma[src[dag]])
-        levels.append(frontier)
-    return dist, sigma, levels
+        level.sort_indices()
+        seen = _pattern(levels[-1] + level)
+        levels.append(level)
+    return levels
 
 
-def _stress_source(indptr, indices, s, n, out):
-    dist, sigma, levels = _bfs_dag(indptr, indices, s, n)
-    # p(v) = number of shortest paths from v to all strict DAG descendants
-    p = np.zeros(n, dtype=np.int64)
-    for depth in range(len(levels) - 2, -1, -1):
-        src, dst = _out_edges(indptr, indices, levels[depth])
-        dag = dist[dst] == depth + 1
-        np.add.at(p, src[dag], 1 + p[dst[dag]])
-    for lv in levels[1:]:
-        out[lv] += sigma[lv] * p[lv]
+def _backward(levels, a, base, delta=None):
+    """Backward pass: yields (j, sigma_j, x_j - base) for j = D .. 1, with
+    x_j = base(sigma_j) + (u_{j+1} @ a) on level j's pattern, canonical so
+    its data lines up with sigma_j's.  x_j - 1 counts the DAG paths down
+    (stress); sigma * (x_j - 1 / sigma) is the Brandes dependency.  u is x,
+    or with ``delta`` the per-length DAG path counts for lengths < delta."""
+    below = []
+    for j in range(len(levels) - 1, 0, -1):
+        sigma = levels[j]
+        pat, b = _pattern(sigma), base(sigma.data)
+        ps = [_product(g, a).multiply(pat) for g in below]
+        x = reduce(_add, ps, _like(sigma, b))
+        x.sort_indices()
+        yield j, sigma, x.data - b
+        below = [x] if delta is None else [pat] + ps[:delta - 1]
 
 
-def _betweenness_source(indptr, indices, s, n, out):
-    dist, sigma, levels = _bfs_dag(indptr, indices, s, n)
-    delta = np.zeros(n, dtype=float)
-    for depth in range(len(levels) - 2, -1, -1):
-        src, dst = _out_edges(indptr, indices, levels[depth])
-        dag = dist[dst] == depth + 1
-        sv, dv = src[dag], dst[dag]
-        np.add.at(delta, sv, sigma[sv] / sigma[dv] * (1.0 + delta[dv]))
-    for lv in levels[1:]:
-        out[lv] += delta[lv]
+def _path_count_sums(levels, a, delta=None):
+    """Per node, sigma * (DAG paths down) summed over levels 1..delta, as the
+    sums of each term's high and low 32-bit halves, which cannot wrap."""
+    out = np.zeros((2, a.shape[0]), dtype=np.int64)
+    for j, sigma, p in _backward(levels, a, np.ones_like, delta):
+        if delta is not None and j > delta:
+            continue
+        s = sigma.data
+        if int(s.max()) * int(p.max()) >= _INT64_END and np.any(p > np.iinfo(np.int64).max // s):
+            raise NumericalError(_OVERFLOW)
+        np.add.at(out[0], sigma.indices, s * p >> 32)
+        np.add.at(out[1], sigma.indices, s * p & _LOW32)
+    return out
 
 
-def _run_sources(per_source, n, dtype, workers):
-    w = resolve_workers(workers)
-    sources = np.arange(n)
-    blocks = [b for b in np.array_split(sources, w) if len(b)]
+def _join(halves):
+    """hi * 2**32 + lo as int64, or NumericalError if it exceeds the range."""
+    hi = halves[0] + (halves[1] >> 32)
+    if np.any(hi >= 1 << 31):
+        raise NumericalError(_OVERFLOW)
+    return (hi << 32) | (halves[1] & _LOW32)
 
-    def run_block(block):
-        acc = np.zeros(n, dtype=dtype)
-        for s in block:
-            per_source(int(s), acc)
-        return acc
 
-    if len(blocks) <= 1:
-        return run_block(sources) if n else np.zeros(n, dtype=dtype)
-    with ThreadPoolExecutor(max_workers=len(blocks)) as ex:
-        parts = list(ex.map(run_block, blocks))
-    total = parts[0]
-    for part in parts[1:]:  # fixed reduction order
-        total += part
-    return total
+def _run_sources(graph, dtype, depth, block_sum, workers):
+    """Sum block_sum(levels, a) over blocks of sources, in block order.
+
+    ``a`` is the adjacency in ``dtype``, with int32 indices where they fit.
+    A block holds consecutive sources whose passes touch about _PATH_BUDGET
+    edges; a pass touches an edge once per level at most, so at most the
+    degree sum, or the degree sum over walks of up to ``depth`` steps.
+    """
+    indptr, indices = as_csr(graph)
+    itype = np.int32 if len(indices) <= np.iinfo(np.int32).max else np.int64
+    a = _adjacency(indptr.astype(itype), indices.astype(itype), dtype)
+    work = degs = np.diff(indptr).astype(float)
+    for _ in range(depth or 0):  # Horner: sum of A**i @ degs for i <= depth
+        work = degs + a @ work
+    work = np.minimum(work, degs.sum()) if depth else np.full(len(degs), degs.sum())
+    # an empty graph runs one empty block, which gives the sum its shape
+    blocks = _blocks(work, _PATH_BUDGET) or [(0, 0)]
+    eye = sp.eye_array(len(degs), dtype=dtype, format="csr")
+    run = lambda block: block_sum(_levels(a, eye[slice(*block)], depth), a)
+    w = min(resolve_workers(workers), len(blocks))
+    with ThreadPoolExecutor(max_workers=w) as ex:  # no thread starts for w = 1
+        return sum((ex.map if w > 1 else map)(run, blocks))
 
 
 def stress_centrality(graph, workers=None):
     """Stress centrality: shortest paths through each node, ordered pairs.
 
-    Counts are exact int64; on large dense graphs shortest-path counts grow
-    combinatorially and can exceed the int64 range.
+    Counts are exact int64; NumericalError if one exceeds the int64 range.
     """
-    indptr, indices = as_csr(graph)
-    n = len(indptr) - 1
-    return _run_sources(
-        lambda s, acc: _stress_source(indptr, indices, s, n, acc),
-        n, np.int64, workers)
+    return _join(_run_sources(graph, np.int64, None, _path_count_sums, workers))
+
+
+def _dependency_sums(levels, a):
+    return sum((np.bincount(sigma.indices, sigma.data * deps, a.shape[0])
+                for _, sigma, deps in _backward(levels, a, np.reciprocal)), np.zeros(a.shape[0]))
 
 
 def betweenness_centrality(graph, workers=None):
-    """Brandes betweenness over ordered pairs (no endpoint credit)."""
-    indptr, indices = as_csr(graph)
-    n = len(indptr) - 1
-    return _run_sources(
-        lambda s, acc: _betweenness_source(indptr, indices, s, n, acc),
-        n, float, workers)
+    """Brandes betweenness over ordered pairs (no endpoint credit).
+
+    Path counts are float64, so they round instead of wrapping.
+    """
+    return _run_sources(graph, float, None, _dependency_sums, workers)
 
 
 def khop_size(graph, k):
     """Number of nodes within hop distance k of each node, excluding itself."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    indptr, indices = as_csr(graph)
-    n = len(indptr) - 1
-    out = np.zeros(n, dtype=np.int64)
-    for s in range(n):
-        dist, _, _ = _bfs_dag(indptr, indices, s, n, max_depth=k)
-        out[s] = np.count_nonzero(dist >= 0) - 1
-    return out
+    # hop distance is symmetric: a node's column counts its ball, itself included
+    count = lambda levels, a: sum(np.bincount(lv.indices, minlength=a.shape[0]) for lv in levels)
+    return _run_sources(graph, bool, k, count, None) - 1
 
 
 def restricted_stress(graph, delta):
@@ -193,29 +234,14 @@ def restricted_stress(graph, delta):
 
     Shortest paths are full-graph shortest paths; only the endpoints are
     constrained to the hop ball.  For a connected graph and delta >= its
-    diameter this equals plain stress.
+    diameter this equals plain stress.  NumericalError as for stress.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    indptr, indices = as_csr(graph)
-    n = len(indptr) - 1
-    out = np.zeros(n, dtype=np.int64)
-    # g[v, j] = number of DAG paths of length j starting at v; a target at
-    # DAG depth j below v is exactly j hops from v, so summing j = 1..delta
-    # and gating on dist(s, v) <= delta enforces both ball conditions.
-    for s in range(n):
-        dist, sigma, levels = _bfs_dag(indptr, indices, s, n, max_depth=2 * delta)
-        g = np.zeros((n, delta + 1), dtype=np.int64)
-        reached = dist >= 0
-        g[reached, 0] = 1
-        for depth in range(len(levels) - 2, -1, -1):
-            src, dst = _out_edges(indptr, indices, levels[depth])
-            dag = dist[dst] == depth + 1
-            np.add.at(g[:, 1:], src[dag], g[dst[dag], :delta])
-        near = [lv for lv in levels[1:delta + 1]]
-        for lv in near:
-            out[lv] += sigma[lv] * g[lv, 1:].sum(axis=1)
-    return out
+    # a target at DAG depth i <= delta below a node at level j <= delta is
+    # within delta hops of it, and lies at level j + i <= 2 * delta
+    sums = partial(_path_count_sums, delta=delta)
+    return _join(_run_sources(graph, np.int64, 2 * delta, sums, None))
 
 
 def stress1(graph):
@@ -232,10 +258,7 @@ def _stress1(a):
     """stress1 from the adjacency built by ``_adjacency``."""
     degs = np.diff(a.indptr).astype(np.int64)
     out = degs * (degs - 1) // 2
-    gather = a @ degs
-    _, starts = np.unique((np.cumsum(gather) - gather) // _GATHER_BUDGET,
-                          return_index=True)
-    for lo, hi in zip(starts, [*starts[1:], len(degs)]):
+    for lo, hi in _blocks(a @ degs, _GATHER_BUDGET):
         rows = a[lo:hi]
         out[lo:hi] -= (rows @ a).multiply(rows).sum(axis=1).astype(np.int64) // 2
     return out

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 numerical
-failure.  Worker counts for the parallel paths come from the
-BOUNDARYKIT_WORKERS environment variable (default: available cores).
+failure, such as a stress count beyond int64.  Thread counts come from
+the BOUNDARYKIT_WORKERS environment variable (default: available cores).
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _cmd_centrality(args):
     net = netgen.load_network(args.network)
     if args.measure in ("stress", "betweenness") and net.n > 50_000:
         print(f"warning: {args.measure} on {net.n} nodes will be slow "
-              "(per-source shortest paths)", file=sys.stderr)
+              "(shortest paths from every node)", file=sys.stderr)
     result = centrality.compute(net, args.measure, k=args.k, delta=args.delta)
     result.to_csv(args.out)
     vals = result.values

@@ -4,9 +4,9 @@ Six phases over an undirected network, all message traffic accounted in
 abstract payload units (1 unit = one id, level, count, or threshold):
 
 1. root election by min-id flooding until quiescence,
-2. BFS tree construction from the root (parent = first announcer, ties to
-   the smallest id; announcements carry the chosen parent so parents learn
-   their children),
+2. BFS tree construction from the root, one round per level (parent =
+   first announcer, ties to the smallest id; announcements carry the chosen
+   parent so parents learn their children),
 3. convergecast of sparse degree histograms to the root,
 4. the root derives the typical degree dhat (argmax of the histogram after
    a centered moving average) and floods T = theta * C(dhat, 2) down the tree,
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csgraph
 
-from .centrality import _adjacency, _out_edges, _stress1, as_csr, st_from_stress1
+from .centrality import _adjacency, _stress1, as_csr, st_from_stress1
 from .theory import clipped_disk_area, neighborhood_st, sigma_interior
 
 RULES = ("core", "one-hop")
@@ -148,6 +148,12 @@ class ProtocolTrace:
     def total_payload(self):
         return sum(r.payload_units for r in self.rounds)
 
+    def _log_round(self, phase, messages, payload):
+        """Record one round of the phase, unless no node sends in it."""
+        if messages:
+            rnd = len(self.rounds) + 1
+            self.rounds.append(RoundRecord(rnd, phase, int(messages), int(payload)))
+
     def phase_totals(self):
         out = {p: [0, 0] for p in range(1, 7)}
         for r in self.rounds:
@@ -199,7 +205,6 @@ def run_protocol(graph, config=None):
     ncomp, comp = csgraph.connected_components(adj, directed=True, connection="strong")
     comp = comp.astype(np.int64)
     trace = ProtocolTrace(n=n, component_id=comp, degrees=degs.astype(np.int64))
-    rnd = 0
 
     # Component roots: explicit root wins its own component, every other
     # component falls back to its minimum id (which is its BFS seed).
@@ -220,8 +225,7 @@ def run_protocol(graph, config=None):
         senders = np.nonzero(active & has_nbrs)[0]
         if len(senders) == 0:
             break
-        rnd += 1
-        trace.rounds.append(RoundRecord(rnd, 1, len(senders), len(senders)))
+        trace._log_round(1, len(senders), len(senders))
         # a node hears the ids of its active neighbors: its CSR row, as the
         # adjacency is symmetric
         snapshot = best.copy()
@@ -230,41 +234,32 @@ def run_protocol(graph, config=None):
         best[has_nbrs] = np.minimum(best[has_nbrs], heard)
         active = best < snapshot
 
-    # -- phase 2: BFS tree; announcements carry (level) for roots and
-    # (level, parent) for everyone else, hence payloads 1 and 2.
-    level = np.full(n, -1, dtype=np.int64)
+    # -- phase 2: BFS tree.  Each level announces in one round, roots with
+    # (level) and everyone else with (level, parent), hence payloads 1 and 2;
+    # a node's parent is its smallest neighbor one level up.  The weights
+    # are ones, so distances are hop counts (unweighted=True copies them).
+    level = csgraph.dijkstra(adj, indices=roots, min_only=True).astype(np.int64)
+    for depth, senders in enumerate(np.bincount(level[has_nbrs])):
+        trace._log_round(2, senders, (1 if depth == 0 else 2) * senders)
+    # the lowest (level, id) place in a row is the smallest neighbor one level up
+    order = np.argsort(level, kind="stable")
+    place = np.empty(n, dtype=np.int32)
+    place[order] = np.arange(n, dtype=np.int32)
     parent = np.full(n, -1, dtype=np.int64)
-    level[roots] = 0
-    frontier = np.sort(roots)
-    depth = 0
-    while len(frontier):
-        senders = frontier[degs[frontier] > 0]
-        if len(senders):
-            rnd += 1
-            unit = 1 if depth == 0 else 2
-            trace.rounds.append(RoundRecord(rnd, 2, len(senders), unit * len(senders)))
-        ssrc, sdst = _out_edges(indptr, indices, senders)
-        newmask = level[sdst] < 0
-        if not np.any(newmask):
-            break
-        cand = np.full(n, n, dtype=np.int64)
-        np.minimum.at(cand, sdst[newmask], ssrc[newmask])
-        frontier = np.unique(sdst[newmask])
-        depth += 1
-        level[frontier] = depth
-        parent[frontier] = cand[frontier]
+    parent[has_nbrs] = order[np.minimum.reduceat(place[indices], indptr[:-1][has_nbrs])]
+    parent[roots] = -1
 
+    sends = parent >= 0  # every node but the roots sends up the tree
     children = [[] for _ in range(n)]
-    for v in range(n):
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
+    for v in np.flatnonzero(sends):
+        children[parent[v]].append(v)
 
     # -- phase 3: convergecast of sparse degree histograms
     cap = config.degree_cap
     overflow_key = cap + 1
     height = np.ones(n, dtype=np.int64)
-    for v in np.argsort(level, kind="stable")[::-1]:  # deepest levels first
-        if parent[v] >= 0:
+    for v in order[::-1]:  # deepest levels first
+        if sends[v]:
             height[parent[v]] = max(height[parent[v]], height[v] + 1)
     hists = [None] * n
     for v in np.argsort(height, kind="stable"):  # leaves upward
@@ -272,15 +267,10 @@ def run_protocol(graph, config=None):
         for c in children[v]:
             h.update(hists[c])
         hists[v] = h
-    is_root = np.zeros(n, dtype=bool)
-    is_root[roots] = True
-    for hh in range(1, int(height.max()) + 1):
-        senders = np.nonzero((height == hh) & ~is_root)[0]
-        if len(senders) == 0:
-            continue
-        rnd += 1
-        payload = sum(2 * len(hists[v]) for v in senders)
-        trace.rounds.append(RoundRecord(rnd, 3, len(senders), payload))
+    # one round per height; a histogram of k buckets costs 2k units
+    payloads = np.bincount(height[sends], [2 * len(hists[v]) for v in np.flatnonzero(sends)])
+    for senders, payload in zip(np.bincount(height[sends]), payloads):
+        trace._log_round(3, senders, payload)
 
     # -- phase 4: dhat and T at each root, flooded down the tree
     thresholds = np.zeros(ncomp)
@@ -297,19 +287,11 @@ def run_protocol(graph, config=None):
             root=root, size=int(np.count_nonzero(comp == ci)),
             dhat=dhat, threshold=t_val,
             histogram={int(k): int(v) for k, v in sorted(hists[root].items())}))
-    has_children = np.array([len(children[v]) > 0 for v in range(n)])
-    for lv in range(0, int(level.max()) + 1):
-        senders = np.nonzero((level == lv) & has_children)[0]
-        if len(senders) == 0:
-            continue
-        rnd += 1
-        trace.rounds.append(RoundRecord(rnd, 4, len(senders), 2 * len(senders)))
+    for senders in np.bincount(level[np.unique(parent[sends])]):
+        trace._log_round(4, senders, 2 * senders)
 
     # -- phase 5: neighbor-list exchange and the local decision
-    senders = np.nonzero(degs > 0)[0]
-    if len(senders):
-        rnd += 1
-        trace.rounds.append(RoundRecord(rnd, 5, len(senders), int(degs[senders].sum())))
+    trace._log_round(5, np.count_nonzero(degs), degs.sum())
     s1 = _stress1(adj)
     declared = s1 <= thresholds[comp]  # degree <= 1 gives stress1 = 0 <= T, boundary
 
@@ -321,37 +303,30 @@ def run_protocol(graph, config=None):
         # 6a: stress1 out; with the phase-5 neighbor degrees each node has
         # its neighbors' st and sums S over its closed neighborhood
         senders = np.count_nonzero(degs > 0)
-        if senders:
-            rnd += 1
-            trace.rounds.append(RoundRecord(rnd, 6, senders, senders))
+        trace._log_round(6, senders, senders)
         mean_st = (st + adj @ st) / closed
         s_closed = s1 + (adj @ s1).astype(np.int64)
         # 6b: S out; rank = neighbors with a lower S / (deg + 1), compared
         # exactly, needed only where the other two core conditions hold
-        if senders:
-            rnd += 1
-            trace.rounds.append(RoundRecord(rnd, 6, senders, senders))
+        trace._log_round(6, senders, senders)
         core = declared & (mean_st <= neighborhood_st(1.0))
-        src, dst = _out_edges(indptr, indices, np.nonzero(core)[0])
+        src = np.flatnonzero(core)  # the candidates' rows give their edges
+        src, dst = np.repeat(src, degs[src]), adj[src].indices
         lower = s_closed[dst] * closed[src] < s_closed[src] * closed[dst]
         rank = np.bincount(src[lower], minlength=n)
         dhat = np.array([c.dhat for c in trace.components])[comp]
         core &= rank <= dhat * (clipped_disk_area(_CORE_DEPTH) - np.pi / 2.0) / np.pi
         # 6c: core flags out
         senders = np.count_nonzero(core & (degs > 0))
-        if senders:
-            rnd += 1
-            trace.rounds.append(RoundRecord(rnd, 6, senders, senders))
+        trace._log_round(6, senders, senders)
         cores_near = core + adj @ core
         declared = (cores_near >= _CORE_COUNT) | (degs <= 1)
 
     labels = declared.copy()
     filtered = np.zeros(n, dtype=bool)
     if config.filter_enabled:
-        senders = np.nonzero(declared & (degs > 0))[0]
-        if len(senders):
-            rnd += 1
-            trace.rounds.append(RoundRecord(rnd, 6, len(senders), len(senders)))
+        senders = np.count_nonzero(declared & (degs > 0))
+        trace._log_round(6, senders, senders)
         keep = declared & (adj @ declared >= config.filter_min_boundary_neighbors)
         filtered = declared & ~keep
         labels = keep

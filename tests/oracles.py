@@ -6,6 +6,7 @@ None of it shares code with boundarykit internals.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 from scipy.integrate import quad
@@ -120,6 +121,66 @@ def brute_path_measures(adj, deltas=(1, 2)):
                     for d in deltas:
                         if dist[s][v] <= d and dist[t][v] <= d:
                             rstr[d][v] += 1
+    return stress, betw, rstr
+
+
+def layered_graph(width, layers, sink=False):
+    """A source (node 0) then ``layers`` layers of ``width`` nodes, each layer
+    joined to every node of the next; from the source, sigma to a node of
+    layer L is width ** (L - 1).  With ``sink``, a last node is joined to
+    every node of the last layer."""
+    sizes = [1] + [width] * layers + ([1] if sink else [])
+    adj = [[] for _ in range(sum(sizes))]
+    start = 0
+    for a, b in zip(sizes, sizes[1:]):
+        for u in range(start, start + a):
+            for v in range(start + a, start + a + b):
+                adj[u].append(v)
+                adj[v].append(u)
+        start += a
+    return adj
+
+
+def exact_brandes(adj, deltas=()):
+    """stress, betweenness and restricted stress by Brandes' accumulation.
+
+    Path counts are Python integers, so they never wrap; each betweenness
+    term divides two exact counts.  Returns (stress, betweenness, {delta:
+    restricted stress}) as lists, the counts as Python integers.
+    """
+    n = len(adj)
+    top = max(deltas, default=0)
+    stress = [0] * n
+    betw = [0.0] * n
+    rstr = {d: [0] * n for d in deltas}
+    for s in range(n):
+        dist, sigma, order = {s: 0}, {s: 1}, []
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w], sigma[w] = dist[u] + 1, 0
+                    queue.append(w)
+                if dist[w] == dist[u] + 1:
+                    sigma[w] += sigma[u]
+        below = {v: 0 for v in order}          # shortest paths from v to its descendants
+        dep = {v: 0.0 for v in order}
+        walks = {v: [1] + [0] * top for v in order}  # DAG paths from v by length
+        for v in reversed(order):
+            for w in adj[v]:
+                if dist[w] == dist[v] + 1:
+                    below[v] += 1 + below[w]
+                    dep[v] += sigma[v] / sigma[w] * (1.0 + dep[w])
+                    for j in range(1, top + 1):
+                        walks[v][j] += walks[w][j - 1]
+            if v != s:
+                stress[v] += sigma[v] * below[v]
+                betw[v] += dep[v]
+                for d in deltas:
+                    if dist[v] <= d:
+                        rstr[d][v] += sigma[v] * sum(walks[v][1:d + 1])
     return stress, betw, rstr
 
 

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st_
 
 import boundarykit as bk
+from boundarykit import centrality
 
 import oracles
 
@@ -220,6 +221,100 @@ def test_permutation_invariance():
     for fn in (bk.stress_centrality, bk.stress1):
         base = fn(adj)
         assert np.array_equal(fn(padj)[perm], base)
+
+
+# -- exact path counts -------------------------------------------------------
+
+
+@pytest.mark.parametrize("width, layers, sink", [
+    (4, 33, False),  # sigma to the last layer is 4**32 = 2**64, 0 in int64
+    (16, 16, True),  # sigma to the sink sums 16 counts of 2**60 to 2**64
+    (2, 61, False),  # every count and term fits, stress peaks at 2**63.6
+])
+def test_path_counts_never_wrap(width, layers, sink):
+    adj = oracles.layered_graph(width, layers, sink)
+    with pytest.raises(bk.NumericalError):
+        bk.stress_centrality(adj)
+    with pytest.raises(bk.NumericalError):
+        bk.restricted_stress(adj, layers + 1)
+    _, betw, _ = oracles.exact_brandes(adj)
+    got = bk.betweenness_centrality(adj)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, betw, rtol=1e-9)
+
+
+def test_betweenness_counts_past_float64_raise():
+    # float64 path counts round, but 16**259 is past the float64 range
+    with pytest.raises(bk.NumericalError):
+        bk.betweenness_centrality(oracles.layered_graph(16, 260))
+
+
+@pytest.mark.parametrize("width, layers", [(8, 20), (4, 31)])
+def test_path_counts_just_under_int64(width, layers):
+    # 4 x 31 peaks at stress 2**62.6; its path counts trip the cheap bound
+    # max(x) * n < 2**63, so the exact checks run, and pass
+    adj = oracles.layered_graph(width, layers)
+    stress, betw, rstr = oracles.exact_brandes(adj, deltas=(1, 2))
+    assert np.array_equal(bk.stress_centrality(adj), np.array(stress, dtype=np.int64))
+    assert np.array_equal(bk.restricted_stress(adj, layers), np.array(stress, dtype=np.int64))
+    for d in (1, 2):
+        assert np.array_equal(bk.restricted_stress(adj, d), np.array(rstr[d], dtype=np.int64))
+    np.testing.assert_allclose(bk.betweenness_centrality(adj), betw, rtol=1e-9)
+
+
+def test_exact_checks_agree_with_oracle(monkeypatch):
+    # with the cheap bound at 1, every integer sum and product takes the
+    # exact check, which must pass and change nothing
+    monkeypatch.setattr(centrality, "_INT64_END", 1)
+    for seed in range(6):
+        adj = random_graph(seed)
+        o_stress, _, o_rstr = oracles.brute_path_measures(adj, deltas=(1, 2))
+        assert np.array_equal(bk.stress_centrality(adj), o_stress), seed
+        for d in (1, 2):
+            assert np.array_equal(bk.restricted_stress(adj, d), o_rstr[d]), seed
+
+
+def test_kernel_across_blocks(monkeypatch):
+    # two geometric pieces and an isolated node between them, with a budget
+    # that splits the sources into many blocks
+    rng = np.random.default_rng(21)
+    _, left = oracles.geometric_graph(30, 0.35, rng)
+    _, right = oracles.geometric_graph(20, 0.4, rng)
+    adj = left + [[]] + [[v + 31 for v in nb] for nb in right]
+    monkeypatch.setattr(centrality, "_PATH_BUDGET", 3 * sum(map(len, adj)))
+    blocks = []
+    levels = centrality._levels
+
+    def counted(a, level, depth):
+        blocks.append(level.shape[0])
+        return levels(a, level, depth)
+
+    monkeypatch.setattr(centrality, "_levels", counted)
+
+    def run(measure, *args):
+        blocks.clear()
+        values = measure(adj, *args)
+        assert len(blocks) >= 4 and sum(blocks) == len(adj)
+        return values
+
+    o_stress, o_betw, o_rstr = oracles.brute_path_measures(adj, deltas=(1, 2))
+    runs = {}
+    for w in (1, 3):
+        monkeypatch.setenv(centrality.WORKERS_ENV, str(w))
+        runs[w] = {"stress": run(bk.stress_centrality),
+                   "betweenness": run(bk.betweenness_centrality),
+                   **{f"rstress{d}": run(bk.restricted_stress, d) for d in (1, 2)},
+                   **{f"khop{k}": run(bk.khop_size, k) for k in (1, 2, 3)}}
+    one = runs[1]
+    assert np.array_equal(one["stress"], o_stress)
+    np.testing.assert_allclose(one["betweenness"], o_betw, rtol=1e-9, atol=1e-9)
+    for d in (1, 2):
+        assert np.array_equal(one[f"rstress{d}"], o_rstr[d])
+    for k in (1, 2, 3):
+        assert np.array_equal(one[f"khop{k}"], oracles.brute_khop(adj, k))
+    # the blocks and their order of summation do not depend on the workers
+    for name, values in runs[3].items():
+        assert np.array_equal(values, one[name]), name
 
 
 # -- parallel execution ------------------------------------------------------

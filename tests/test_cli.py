@@ -1,13 +1,17 @@
 """End-to-end CLI checks, driving main() in process."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import boundarykit as bk
 from boundarykit.cli import main
+
+import oracles
 
 REGION = "4\n0.0 0.0\n4.0 0.0\n4.0 4.0\n0.0 4.0\n0\n"
 TRIANGLE_NET = "3 1.0\n0 0.0 0.0\n1 1.0 0.0\n2 0.5 0.5\n0 1\n0 2\n1 2\n"
@@ -128,6 +132,22 @@ def test_centrality_khop(tmp_path):
     assert main(["centrality", "--network", str(net), "--measure", "khop",
                  "--k", "1", "--out", str(out)]) == 0
     assert read_values(out) == [1.0, 2.0, 2.0, 1.0]
+
+
+def test_centrality_stress_overflow_exits_3(tmp_path, capsys):
+    # a source and 33 layers of 4: 4**32 shortest paths reach the last layer
+    adj = oracles.layered_graph(4, 33)
+    lines = [f"{len(adj)} 1.0"]
+    lines += [f"{v} {float((v + 3) // 4)!r} {float(v % 4)!r}" for v in range(len(adj))]
+    lines += [f"{u} {v}" for u in range(len(adj)) for v in adj[u] if u < v]
+    netfile = tmp_path / "layers.txt"
+    netfile.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "v.csv"
+    rc = main(["centrality", "--network", str(netfile), "--measure", "stress",
+               "--out", str(out)])
+    assert rc == 3
+    assert "int64" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- protocol ----------------------------------------------------------------
@@ -269,9 +289,12 @@ def test_centrality_large_network_warns(tmp_path, capsys):
 
 
 def test_console_script_installed():
+    # the child imports the package from where this process found it
+    package_root = str(Path(bk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "boundarykit.cli", "theory", "sigma"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "0.4134966716"

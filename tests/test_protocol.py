@@ -168,6 +168,42 @@ def test_phase1_rounds_match_flooding_reference():
     assert trace.multi_component  # the sparse network has several components
 
 
+def test_phase2_tree_matches_bfs_reference():
+    # BFS node by node from each component's root: a level's nodes announce
+    # in one round if any has a neighbor, roots with payload 1 and the rest
+    # with payload 2; scanning the level in id order, a node's first
+    # announcer, its smallest neighbor one level up, is its parent
+    sparse = network(8, n=150, r=0.6)
+    assert np.any(sparse.degrees == 0)
+    for root in (None, 5):
+        adj = [sparse.neighbors(v).tolist() for v in range(sparse.n)]
+        _, trace = default_run(sparse, root=root)
+        level = [-1] * sparse.n
+        parent = [-1] * sparse.n
+        frontier = sorted(c.root for c in trace.components)
+        for v in frontier:
+            level[v] = 0
+        rounds = []
+        while frontier:
+            senders = [v for v in frontier if adj[v]]
+            if senders:
+                unit = 1 if level[frontier[0]] == 0 else 2
+                rounds.append((len(senders), unit * len(senders)))
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if level[w] < 0:
+                        level[w], parent[w] = level[v] + 1, v
+                        nxt.append(w)
+            frontier = sorted(nxt)
+        assert trace.level.tolist() == level
+        assert trace.parent.tolist() == parent
+        assert [(r.messages, r.payload_units) for r in trace.rounds if r.phase == 2] == rounds
+        # the tie rule decides: some node has several neighbors one level up
+        assert any(sum(level[w] == level[v] - 1 for w in adj[v]) > 1 for v in range(sparse.n))
+    assert trace.multi_component
+
+
 def test_explicit_root():
     net = network(4)
     labels, trace = default_run(net, root=25)
