@@ -47,6 +47,8 @@ def _build_parser():
     r.add_argument("--network", required=True)
     r.add_argument("--region", help="region file for ground-truth rates")
     r.add_argument("--theta", type=float, default=1.0 / 3.0)
+    r.add_argument("--rule", choices=protocol.RULES, default="core",
+                   help="decision rule of phase 6 (one-hop suits low density)")
     r.add_argument("--filter", action=argparse.BooleanOptionalAction, default=True)
     r.add_argument("--min-boundary-neighbors", type=int, default=2)
     r.add_argument("--root", type=int, help="explicit root id (default min-id election)")
@@ -106,7 +108,7 @@ def _cmd_protocol(args):
     region = geometry.load_region(args.region) if args.region else None
     net = netgen.load_network(args.network, region=region)
     config = protocol.ProtocolConfig(
-        theta=args.theta, filter_enabled=args.filter,
+        theta=args.theta, rule=args.rule, filter_enabled=args.filter,
         filter_min_boundary_neighbors=args.min_boundary_neighbors,
         root=args.root)
     labels, trace = protocol.run_protocol(net, config)

@@ -8,6 +8,8 @@ node is ever examined; expected cost is O(n) at bounded density.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import FileFormatError
@@ -157,25 +159,146 @@ def ground_truth(network, band=None):
     return d < b
 
 
-# -- network dump format --------------------------------------------------
+# -- network file format --------------------------------------------------
 #
-#   n radius
-#   id x y            (n lines, ids 0..n-1)
-#   u v               (one line per edge, u < v)
+#   n radius          header: n >= 0 nodes, radius > 0
+#   id x y            n node lines, ids 0..n-1 in order
+#   u v               one line per edge, 0 <= u < v < n, no edge twice;
+#                     blank lines may appear among the edge lines
 #
-# Floats are written with repr(), which round-trips float64 exactly.
+# Floats are written with repr(), which round-trips float64 exactly.  Lines
+# end in "\n"; "\r\n" reads the same, and the last newline may be missing.
+# A malformed file raises FileFormatError with its 1-based line number; a
+# repeated edge is reported at its second occurrence.
+#
+# load_network parses a clean file in bulk: the header and the node lines
+# by readline, the edge lines in blocks tokenized with numpy.  Whatever the
+# bulk path does not take goes to the per-line scan ``_scan_lines``, which
+# alone decides what is an error and on which line.  The bulk path accepts
+# a subset of what the scan accepts and builds the same arrays from it.
+
+_EDGE_ROWS = 1 << 16     # edge lines formatted per write
+_READ_BYTES = 1 << 22    # edge bytes tokenized per block
+# Bytes the bulk path takes: printable ASCII, tab and line ends.  Any other
+# byte (non-ASCII text, or a form feed, at which splitlines() breaks a line)
+# sends the file to the per-line scan.
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\r\n"
+_EDGE_BYTES = b"0123456789 \t\r\n"
+_MAX_DIGITS = 18         # longer fields may not fit int64
 
 
 def save_network(network, path):
+    """Write ``network`` in the network file format."""
+    xy = np.asarray(network.positions, dtype=np.float64).tolist()
+    edges = network.edges()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{network.n} {float(network.radius)!r}\n")
-        for i, (x, y) in enumerate(network.positions):
-            fh.write(f"{i} {float(x)!r} {float(y)!r}\n")
-        for u, v in network.edges():
-            fh.write(f"{u} {v}\n")
+        fh.writelines(f"{i} {x!r} {y!r}\n" for i, (x, y) in enumerate(xy))
+        for lo in range(0, len(edges), _EDGE_ROWS):
+            rows = edges[lo:lo + _EDGE_ROWS]
+            fh.write("%d %d\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def load_network(path, region=None):
+    """Read a network file; malformed input raises FileFormatError at its line."""
+    arrays = _read_bulk(path)
+    if arrays is None:
+        arrays = _scan_lines(path)
+    return SensorNetwork(*arrays, region=region)
+
+
+def _plain(buf):
+    """True if ``buf`` holds only ``_PLAIN`` bytes and each "\r" ends a line."""
+    return not buf.translate(None, _PLAIN) and buf.count(b"\r") == buf.count(b"\r\n")
+
+
+def _fields(buf):
+    """Offsets of the whitespace-separated fields of a plain ``buf`` and the
+    number of fields on each of its lines."""
+    b = np.frombuffer(buf, np.uint8)
+    tok = np.concatenate(([False], b > 32, [False]))
+    starts = np.flatnonzero(tok[1:] > tok[:-1])
+    ends = np.flatnonzero(tok[:-1] > tok[1:])
+    line_ends = np.flatnonzero(b == 10)
+    if len(b) and b[-1] != 10:
+        line_ends = np.append(line_ends, len(b))
+    counts = np.diff(np.searchsorted(starts, line_ends), prepend=0)
+    return starts, ends, counts
+
+
+def _decimal(buf, starts, ends):
+    """int64 values of the all-digit fields buf[starts:ends], or None where a
+    field is longer than ``_MAX_DIGITS``."""
+    b = np.frombuffer(buf, np.uint8)
+    width = ends - starts
+    longest = int(width.max(initial=0))
+    if longest > _MAX_DIGITS:
+        return None
+    val = np.zeros(len(starts), dtype=np.int64)
+    for j in range(1, longest + 1):
+        digit = b[ends - j].astype(np.int64) - 48
+        val += np.where(width >= j, digit, 0) * 10 ** (j - 1)
+    return val
+
+
+def _read_bulk(path):
+    """(positions, radius, indptr, indices) of a clean file, else None."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        fields = head.split()
+        if not _plain(head) or len(fields) != 2:
+            return None
+        try:
+            n, radius = int(fields[0]), float(fields[1])
+        except ValueError:
+            return None
+        if n < 0 or n * n >= 2**63 or radius <= 0:  # keys u * n + v fit int64
+            return None
+        nodes = b"".join(itertools.islice(iter(fh.readline, b""), n))
+        if not _plain(nodes):
+            return None
+        counts = _fields(nodes)[2]
+        if len(counts) != n or np.any(counts != 3):
+            return None
+        fields = nodes.split()
+        del nodes
+        try:
+            if list(map(int, fields[0::3])) != list(range(n)):
+                return None
+            del fields[0::3]
+            pos = np.fromiter(map(float, fields), np.float64, 2 * n).reshape(n, 2)
+        except ValueError:
+            return None
+        del fields  # the node fields would stay resident while the edges are read
+        keys = []
+        while block := fh.read(_READ_BYTES):
+            block += fh.readline()
+            if block.translate(None, _EDGE_BYTES) or not _plain(block):
+                return None
+            starts, ends, counts = _fields(block)
+            if np.any((counts != 0) & (counts != 2)):
+                return None
+            val = _decimal(block, starts, ends)
+            if val is None:
+                return None
+            u, v = val[0::2], val[1::2]
+            if np.any(u >= v) or np.any(v >= n):
+                return None
+            keys.append(u * n + v)
+    key = np.concatenate(keys or [np.empty(0, dtype=np.int64)])
+    del keys
+    indptr, indices = _csr_from_edge_keys(n, key)
+    # A repeated edge repeats a column within a row of the sorted CSR.
+    same = indices[1:] == indices[:-1]
+    cut = indptr[1:-1] - 1
+    same[cut[(cut >= 0) & (cut < len(same))]] = False
+    if same.any():
+        return None
+    return pos, radius, indptr, indices
+
+
+def _scan_lines(path):
+    """The per-line reader: (positions, radius, indptr, indices) or FileFormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     spath = str(path)
@@ -214,6 +337,7 @@ def load_network(path, region=None):
         pos[k] = (x, y)
     eu = []
     ev = []
+    el = []
     for off, raw in enumerate(lines[1 + n:]):
         lineno = 2 + n + off
         if not raw.strip():
@@ -232,10 +356,14 @@ def load_network(path, region=None):
             fail(f"edges must satisfy u < v, got ({u}, {v})", lineno)
         eu.append(u)
         ev.append(v)
+        el.append(lineno)
     eu = np.asarray(eu, dtype=np.int64)
     ev = np.asarray(ev, dtype=np.int64)
     key = eu * np.int64(n) + ev
-    if len(np.unique(key)) != len(key):
-        fail("duplicate edge in file", len(lines))
+    # In a stable sort, every repeat of a key follows its first occurrence.
+    order = np.argsort(key, kind="stable")
+    again = order[1:][key[order[1:]] == key[order[:-1]]]
+    if len(again):
+        fail("duplicate edge in file", el[again.min()])
     indptr, indices = _csr_from_edge_keys(n, key)
-    return SensorNetwork(pos, radius, indptr, indices, region=region)
+    return pos, radius, indptr, indices

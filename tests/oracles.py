@@ -11,6 +11,8 @@ from collections import deque
 import numpy as np
 from scipy.integrate import quad
 
+from boundarykit.errors import FileFormatError
+
 INF = float("inf")
 
 
@@ -275,3 +277,80 @@ def neighborhood_st_mc(samples, seed):
     qx, qy = clipped(depth)
     p = np.count_nonzero((px - qx) ** 2 + (py - qy) ** 2 > 1.0) / samples
     return p, math.sqrt(p * (1.0 - p) / samples)
+
+
+# ---------------------------------------------------------------------------
+# network files
+
+
+def network_text_lines(positions, radius, edges):
+    """Network file text formatted one line at a time with f-strings."""
+    out = [f"{len(positions)} {float(radius)!r}\n"]
+    out += [f"{i} {float(x)!r} {float(y)!r}\n" for i, (x, y) in enumerate(positions)]
+    out += [f"{u} {v}\n" for u, v in edges]
+    return "".join(out)
+
+
+def load_network_lines(path):
+    """Per-line network file reader: (radius, positions, sorted edge list).
+
+    Raises FileFormatError naming the offending line; a repeated edge is
+    reported at the file's last line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    spath = str(path)
+
+    def fail(msg, line):
+        raise FileFormatError(msg, line=line, path=spath)
+
+    if not lines:
+        fail("empty file, expected 'n radius' header", 1)
+    head = lines[0].split()
+    if len(head) != 2:
+        fail(f"expected 'n radius' header, got {lines[0]!r}", 1)
+    try:
+        n = int(head[0])
+        radius = float(head[1])
+    except ValueError:
+        fail(f"bad header {lines[0]!r}", 1)
+    if n < 0 or radius <= 0:
+        fail(f"invalid header values n={head[0]} radius={head[1]}", 1)
+    if len(lines) < 1 + n:
+        fail(f"expected {n} node lines, file ends early", len(lines))
+    pos = np.empty((n, 2))
+    for k in range(n):
+        lineno = 2 + k
+        parts = lines[1 + k].split()
+        if len(parts) != 3:
+            fail(f"expected 'id x y', got {lines[1 + k]!r}", lineno)
+        try:
+            idx = int(parts[0])
+            x = float(parts[1])
+            y = float(parts[2])
+        except ValueError:
+            fail(f"bad node line {lines[1 + k]!r}", lineno)
+        if idx != k:
+            fail(f"node ids must be 0..n-1 in order, got {idx} at position {k}", lineno)
+        pos[k] = (x, y)
+    edges = []
+    for off, raw in enumerate(lines[1 + n:]):
+        lineno = 2 + n + off
+        if not raw.strip():
+            continue
+        parts = raw.split()
+        if len(parts) != 2:
+            fail(f"expected edge 'u v', got {raw!r}", lineno)
+        try:
+            u = int(parts[0])
+            v = int(parts[1])
+        except ValueError:
+            fail(f"bad edge line {raw!r}", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            fail(f"edge ({u}, {v}) references unknown node", lineno)
+        if u >= v:
+            fail(f"edges must satisfy u < v, got ({u}, {v})", lineno)
+        edges.append((u, v))
+    if len(set(edges)) != len(edges):
+        fail("duplicate edge in file", len(lines))
+    return radius, pos, sorted(edges)

@@ -180,6 +180,24 @@ def test_protocol_with_region_prints_rates(tmp_path, region_file, capsys):
     assert "false_positive_rate=" in text
 
 
+def test_protocol_rule_one_hop(tmp_path, region_file):
+    netfile = tmp_path / "net.txt"
+    main(["generate", "--region", str(region_file), "--nodes", "300",
+          "--radius", "0.6", "--seed", "3", "--out", str(netfile)])
+    net = bk.load_network(netfile)
+    for rule in ("one-hop", "core"):
+        out = tmp_path / f"{rule}.csv"
+        assert main(["protocol", "--network", str(netfile), "--rule", rule,
+                     "--out", str(out)]) == 0
+        labels, _ = bk.run_protocol(net, bk.ProtocolConfig(rule=rule))
+        rows = out.read_text().splitlines()[1:]
+        assert [r.split(",")[5] == "boundary" for r in rows] == labels.tolist()
+    one_hop = (tmp_path / "one-hop.csv").read_text()
+    assert one_hop != (tmp_path / "core.csv").read_text()
+    assert main(["protocol", "--network", str(netfile), "--out", str(out)]) == 0
+    assert out.read_text() == (tmp_path / "core.csv").read_text()  # default rule
+
+
 def test_protocol_theta_out_of_range(triangle_file, tmp_path):
     rc = main(["protocol", "--network", str(triangle_file), "--theta", "0.5",
                "--out", str(tmp_path / "c.csv")])

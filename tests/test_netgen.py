@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st_
 from scipy import stats
 
 import boundarykit as bk
-from boundarykit import FileFormatError
+from boundarykit import FileFormatError, netgen
 
 import oracles
 
@@ -207,24 +208,174 @@ def test_load_network_text(tmp_path):
     assert adjacency_lists(net) == [[1], [0]]
 
 
-@pytest.mark.parametrize(
-    "text,wrong",
-    [
-        ("2\n0 0.0 0.0\n1 0.5 0.0\n", "header"),
-        ("2 1.0\n1 0.0 0.0\n0 0.5 0.0\n0 1\n", "node id order"),
-        ("2 1.0\n0 0.0 0.0\n1 0.5 0.0\n1 0\n", "edge u < v"),
-        ("2 1.0\n0 0.0 0.0\n1 0.5 0.0\n0 7\n", "unknown endpoint"),
-        ("2 1.0\n0 0.0 0.0\n1 0.5 0.0\n0 1\n0 1\n", "duplicate edge"),
-        ("2 1.0\n0 nope 0.0\n1 0.5 0.0\n0 1\n", "bad coordinate"),
-        ("2 -1.0\n0 0.0 0.0\n1 0.5 0.0\n0 1\n", "bad radius"),
-        ("3 1.0\n0 0.0 0.0\n1 0.5 0.0\n0 1\n", "node count"),
-    ],
-)
+# (file text, what is wrong with it, the line the error names)
+BAD_FILES = [
+    ("2\n0 0.0 0.0\n1 0.5 0.0\n", "header", 1),
+    ("2 1.0\n1 0.0 0.0\n0 0.5 0.0\n0 1\n", "node id order", 2),
+    ("2 1.0\n0 0.0 0.0\n1 0.5 0.0\n1 0\n", "edge u < v", 4),
+    ("2 1.0\n0 0.0 0.0\n1 0.5 0.0\n0 7\n", "unknown endpoint", 4),
+    ("2 1.0\n0 0.0 0.0\n1 0.5 0.0\n0 1\n0 1\n", "duplicate edge", 5),
+    ("2 1.0\n0 nope 0.0\n1 0.5 0.0\n0 1\n", "bad coordinate", 2),
+    ("2 -1.0\n0 0.0 0.0\n1 0.5 0.0\n0 1\n", "bad radius", 1),
+    ("3 1.0\n0 0.0 0.0\n1 0.5 0.0\n0 1\n", "node count", 4),
+    ("3 1.0\n0 0.0 0.0\n1 0.5 0.0\n2 1.0 0.0\n0 1\n1 2\n0 1\n\n1 2\n0 2\n",
+     "duplicate edge before the end", 7),
+    ("2 1.0\n0 0.0 0.0\n1 0.5 0.0\n0 1.0\n", "float endpoint", 4),
+    ("2 1.0\n0.0 0.0 0.0\n1 0.5 0.0\n0 1\n", "float node id", 2),
+    ("2 1.0\n0 0.0 0.0\n\n1 0.5 0.0\n0 1\n", "blank node line", 3),
+    ("2 1.0\n0 0.0 0.0\n1 0.5 0.0\n0 1 1\n", "three-field edge", 4),
+    ("2 1.0\n0 0.0 0.0\n1 0.5\n0 1\n", "two-field node line", 3),
+    ("3 1.0\n0 0.0 0.0\n1 0.5 0.0", "file ends early", 3),
+    ("99999999999999999999 1.0\n0 0.0 0.0\n", "huge node count", 2),
+    ("2 1.0\n0 0.5\n1 1 0.5 0.5\n0 1\n", "fields shifted between node lines", 2),
+    ("5 1.0\n0 0 0\n1 0 0\n2 0 0\n3 0 0\n4 0 0\n0 1\n3 7\n", "endpoint past n", 8),
+    ("2 1.0\n0 0.0 0.0\n1 0.5 0.0\n-1 1\n", "negative endpoint", 4),
+    ("11 1.0\n" + "".join(f"{i} 0 0\n" for i in range(11)) + "0 :\n",
+     "non-digit endpoint", 13),  # ":" is the byte after "9"
+    ("", "empty file", 1),
+    ("2 1.0\n0 0.0 0.0\n1 0.5\x0c0.0\n0 1\n", "form feed breaks a line", 3),
+    ("2 1.0\n0 0.0 0.0\n1 0.5\r0.0\n0 1\n", "carriage return breaks a line", 3),
+]
+
+
+@pytest.mark.parametrize("text,wrong", [case[:2] for case in BAD_FILES])
 def test_load_network_rejects(tmp_path, text, wrong):
+    line = {w: k for _, w, k in BAD_FILES}[wrong]
     p = tmp_path / "bad.txt"
-    p.write_text(text)
-    with pytest.raises(FileFormatError):
+    p.write_bytes(text.encode())
+    with pytest.raises(FileFormatError) as e:
         bk.load_network(p)
+    assert e.value.line == line
+
+
+@pytest.mark.parametrize("text", [
+    "2 1.0\r\n0 0.0 0.0\r\n1 0.5 0.0\r\n0 1\r\n",                # CRLF
+    "2 1.0\r0 0.0 0.0\r1 0.5 0.0\r0 1\r",                        # CR
+    "3 1.0\n0 0.0 0.0\n1 0.5 0.0\n2 1.0 0.0\n\n0 1\n \n\n1 2\n\n",  # blank lines
+    "2 1.0\n0 0.0 0.0\n1 0.5 0.0\n0 1",                          # no final newline
+    "2 1.0\n0 0.0 0.0\n1 0.5 0.0",                               # nor edges
+    "0 1.0\n",                                                   # n = 0
+    "0 1.0",
+    "2 1.0\n0 0.0 0.0\n1 0.5 0.0\n",                             # no edges
+    "2 1.0\n0 0.0 0.0\n1 0.5 0.0\n\t0\t 1  \n",                  # tabs, spaces
+    "2 1_0\n+0 1_0 -0.0\n0_1 .5 +inf\n+0 0_1\n",                # int()/float() spellings
+    "2 1.0\n00 0.0 0.0\n01 0.5 0.0\n00 000000000000000000001\n",  # leading zeros
+])
+def test_load_network_accepts(tmp_path, text):
+    p = tmp_path / "ok.txt"
+    p.write_bytes(text.encode())
+    net = bk.load_network(p)
+    radius, pos, edges = oracles.load_network_lines(p)
+    assert net.radius == radius
+    assert net.positions.dtype == np.float64
+    assert net.positions.tobytes() == pos.tobytes()
+    assert net.edges().tolist() == [list(e) for e in edges]
+    assert net.indptr.dtype == net.indices.dtype == np.int64
+
+
+def test_clean_file_skips_line_scan(tmp_path, monkeypatch):
+    reg = bk.square_with_hole(6.0, 2.0)
+    net = bk.build_network(reg, 300, 1.0, seed=4)
+    p = tmp_path / "net.txt"
+    bk.save_network(net, p)
+    monkeypatch.setattr(netgen, "_scan_lines", None)  # calling it would raise
+    monkeypatch.setattr(netgen, "_READ_BYTES", 64)   # edges in many blocks
+    net2 = bk.load_network(p)
+    assert np.array_equal(net2.indptr, net.indptr)
+    assert np.array_equal(net2.indices, net.indices)
+
+
+def test_save_network_bytes(tmp_path, monkeypatch):
+    awkward = [0.1, 1e-300, 5e-324, 123456789.123, 1e16, 0.30000000000000004,
+               -0.0, -2.5e-17, 1.7976931348623157e308, 3.0]
+    pos = np.array([awkward, awkward[::-1]]).T.copy()
+    indptr, indices = bk.adjacency_from_positions(np.zeros((len(pos), 2)), 1.0)
+    net = bk.SensorNetwork(pos, 0.1, indptr, indices)
+    monkeypatch.setattr(netgen, "_EDGE_ROWS", 4)  # edges written in many chunks
+    p = tmp_path / "net.txt"
+    bk.save_network(net, p)
+    expected = oracles.network_text_lines(pos, 0.1, net.edges().tolist())
+    assert p.read_bytes() == expected.encode()
+    assert p.read_bytes().count(b"\n") == 1 + len(pos) + len(pos) * (len(pos) - 1) // 2
+
+
+# Replacement tokens for a corrupted field: floats in int columns, ids out
+# of range, spellings only int() and float() take, and plain junk.
+_TOKENS = ["0", "1", "2", "7", "-1", "0.0", "1.0", "1e3", "+1", "1_0", "01",
+           "nan", "x", "", "1 1", "99999999999999999999"]
+
+
+@st_.composite
+def _corrupted_network_file(draw):
+    n = draw(st_.integers(0, 7))
+    coord = st_.floats(-5.0, 5.0, allow_nan=False, allow_subnormal=True)
+    pos = np.array([[draw(coord), draw(coord)] for _ in range(n)]).reshape(n, 2)
+    radius = draw(st_.sampled_from([0.5, 1.5, 3.0, 20.0]))
+    indptr, indices = bk.adjacency_from_positions(pos, radius)
+    net = bk.SensorNetwork(pos, radius, indptr, indices)
+    lines = oracles.network_text_lines(pos, radius, net.edges().tolist()).splitlines()
+    kind = draw(st_.sampled_from(["none", "swap", "drop", "repeat", "line"]))
+    at = draw(st_.integers(0, len(lines) - 1))
+    fields = lines[at].split()
+    k = draw(st_.integers(0, len(fields) - 1))
+    if kind == "swap":
+        fields[k] = draw(st_.sampled_from(_TOKENS))
+    elif kind == "drop":
+        del fields[k]
+    elif kind == "repeat":
+        fields.insert(k, fields[k])
+    if kind == "line":
+        lines.insert(at + draw(st_.booleans()), lines[at])
+    elif kind != "none":
+        lines[at] = " ".join(fields)
+    end = draw(st_.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st_.sampled_from(["", end]))
+    return net, kind, text
+
+
+def _repeated_edge_line(text, n):
+    """1-based line of the first edge line that repeats an earlier one."""
+    seen = set()
+    for k, raw in enumerate(text.splitlines()[1 + n:], start=2 + n):
+        if raw.strip():
+            edge = tuple(map(int, raw.split()))
+            if edge in seen:
+                return k
+            seen.add(edge)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corrupted_network_file(), st_.sampled_from([1 << 22, 5, 16]))
+def test_load_network_matches_line_reader(tmp_path_factory, case, block):
+    net, kind, text = case
+    p = tmp_path_factory.mktemp("net") / "net.txt"
+    p.write_bytes(text.encode())
+    try:
+        want = oracles.load_network_lines(p)
+    except FileFormatError as e:
+        want = e
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netgen, "_READ_BYTES", block)
+        if isinstance(want, FileFormatError):
+            with pytest.raises(FileFormatError) as e:
+                bk.load_network(p)
+            line = want.line
+            if str(want).endswith("duplicate edge in file"):
+                line = _repeated_edge_line(text, int(text.split()[0]))
+            assert e.value.line == line
+            return
+        got = bk.load_network(p)
+    radius, pos, edges = want
+    assert np.float64(got.radius).tobytes() == np.float64(radius).tobytes()  # nan too
+    assert got.positions.tobytes() == pos.tobytes()
+    assert got.edges().tolist() == [list(e) for e in edges]
+    if kind == "none":
+        assert np.array_equal(got.positions, net.positions)
+        assert np.array_equal(got.indptr, net.indptr)
+        assert np.array_equal(got.indices, net.indices)
+        assert got.indptr.dtype == net.indptr.dtype
+        assert got.indices.dtype == net.indices.dtype
 
 
 def test_load_network_error_carries_line(tmp_path):
