@@ -19,11 +19,13 @@ import numpy as np
 
 import boundarykit as bk
 
-sigma = bk.sigma_interior()
-closed = 3 * math.sqrt(3) / (4 * math.pi)
-print(f"quadrature: {sigma:.12f}")
-print(f"closed form: {closed:.12f}")
-print(f"difference: {abs(sigma - closed):.2e}")
+sigma = bk.sigma_interior()  # the closed form
+x, w = np.polynomial.legendre.leggauss(32)  # Gauss-Legendre on [0, 1]
+x, w = (x + 1) / 2, w / 2
+integral = float(w @ (2 * x * bk.m_area(x) / math.pi))
+print(f"closed form: {sigma:.12f}")
+print(f"quadrature:  {integral:.12f}")
+print(f"difference: {abs(sigma - integral):.2e}")
 
 print("\nlens areas:")
 for x in (0.0, 0.5, 1.0, 1.5, 2.0):

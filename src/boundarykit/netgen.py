@@ -1,9 +1,10 @@
 """Unit-disk sensor networks over polygonal regions.
 
 Adjacency uses the unit-disk rule: u ~ v iff ||pos(u) - pos(v)|| <= radius,
-distance exactly equal to the radius included.  Neighbor discovery runs on a
-uniform grid of cell size ``radius`` so only the 3x3 cell neighborhood of a
-node is ever examined; expected cost is O(n) at bounded density.
+distance exactly equal to the radius included.  Neighbor discovery is one
+range query on a k-d tree of the positions, which compares squared
+distances with radius**2.  The radius must be positive and every coordinate
+finite.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import FileFormatError
 from . import geometry
@@ -29,6 +31,7 @@ class SensorNetwork:
     """
 
     def __init__(self, positions, radius, indptr, indices, region=None):
+        _check_geometry(positions, radius)
         self.positions = positions
         self.radius = float(radius)
         self.indptr = indptr
@@ -71,59 +74,25 @@ def _csr_from_edge_keys(n, key):
     return indptr, key
 
 
+def _check_geometry(positions, radius):
+    """ValueError unless ``radius`` is positive and finite and every coordinate is finite."""
+    if not 0 < radius < np.inf:  # false for nan
+        raise ValueError("radius must be positive and finite")
+    if not np.isfinite(positions).all():
+        raise ValueError("node coordinates must be finite")
+
+
 def adjacency_from_positions(positions, radius):
-    """Unit-disk edges via grid hashing; returns (indptr, indices).
-
-    Cell size equals the radius, so candidate pairs live in the same cell
-    or in one of 4 forward-neighbor cells; each unordered cell pair is
-    visited exactly once.
-    """
+    """Unit-disk edges by a k-d tree range query; returns (indptr, indices)."""
+    _check_geometry(positions, radius)
     n = len(positions)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if n == 0:
-        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    r2 = radius * radius
-    cell = np.floor(positions / radius).astype(np.int64)
-    # Group node ids by cell; ids within a cell stay ascending.
-    order = np.lexsort((cell[:, 1], cell[:, 0]))
-    sc = cell[order]
-    breaks = np.nonzero(np.any(np.diff(sc, axis=0) != 0, axis=1))[0] + 1
-    starts = np.concatenate([[0], breaks, [n]])
-    keys = {}
-    for i in range(len(starts) - 1):
-        ids = order[starts[i]:starts[i + 1]]
-        keys[(int(sc[starts[i], 0]), int(sc[starts[i], 1]))] = np.sort(ids)
-
-    edge_keys = []  # u * n + v for every edge u-v
-    for (ix, iy) in sorted(keys):
-        a = keys[(ix, iy)]
-        pa = positions[a]
-        # pairs within the cell
-        if len(a) > 1:
-            d2 = np.sum((pa[:, None, :] - pa[None, :, :]) ** 2, axis=2)
-            ii, jj = np.nonzero(np.triu(d2 <= r2, k=1))
-            if len(ii):
-                edge_keys.append(a[ii] * n + a[jj])
-        # pairs against forward-neighbor cells
-        for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            b = keys.get((ix + dx, iy + dy))
-            if b is None:
-                continue
-            pb = positions[b]
-            d2 = np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)
-            ii, jj = np.nonzero(d2 <= r2)
-            if len(ii):
-                edge_keys.append(a[ii] * n + b[jj])
-    key = np.concatenate(edge_keys or [np.empty(0, dtype=np.int64)])
-    del edge_keys  # the pieces would double the edge memory while the CSR is built
+    # keys u * n + v of the (m, 2) pairs, which are freed before the CSR is built
+    key = cKDTree(positions).query_pairs(radius, output_type="ndarray") @ np.array([n, 1])
     return _csr_from_edge_keys(n, key)
 
 
 def build_network(region, n, radius, seed):
     """Sample ``n`` uniform node positions and connect them unit-disk style."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     pos = geometry.sample_uniform(region, n, seed)
     indptr, indices = adjacency_from_positions(pos, radius)
     return SensorNetwork(pos, radius, indptr, indices, region=region)
@@ -252,7 +221,7 @@ def _read_bulk(path):
             n, radius = int(fields[0]), float(fields[1])
         except ValueError:
             return None
-        if n < 0 or n * n >= 2**63 or radius <= 0:  # keys u * n + v fit int64
+        if n < 0 or n * n >= 2**63 or not 0 < radius < np.inf:  # keys u * n + v fit int64
             return None
         nodes = b"".join(itertools.islice(iter(fh.readline, b""), n))
         if not _plain(nodes):
@@ -268,6 +237,8 @@ def _read_bulk(path):
             del fields[0::3]
             pos = np.fromiter(map(float, fields), np.float64, 2 * n).reshape(n, 2)
         except ValueError:
+            return None
+        if not np.isfinite(pos).all():
             return None
         del fields  # the node fields would stay resident while the edges are read
         keys = []
@@ -316,7 +287,7 @@ def _scan_lines(path):
         radius = float(head[1])
     except ValueError:
         fail(f"bad header {lines[0]!r}", 1)
-    if n < 0 or radius <= 0:
+    if n < 0 or not 0 < radius < np.inf:
         fail(f"invalid header values n={head[0]} radius={head[1]}", 1)
     if len(lines) < 1 + n:
         fail(f"expected {n} node lines, file ends early", len(lines))
@@ -334,6 +305,8 @@ def _scan_lines(path):
             fail(f"bad node line {lines[1 + k]!r}", lineno)
         if idx != k:
             fail(f"node ids must be 0..n-1 in order, got {idx} at position {k}", lineno)
+        if not (np.isfinite(x) and np.isfinite(y)):
+            fail(f"non-finite node coordinate in {lines[1 + k]!r}", lineno)
         pos[k] = (x, y)
     eu = []
     ev = []

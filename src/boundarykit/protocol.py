@@ -179,7 +179,8 @@ def _smoothed_mode(dense, window):
     to the bucket with the largest raw count, then to the smallest index.
     """
     kernel = np.ones(window) / window
-    smooth = np.convolve(dense.astype(float), kernel, mode="same")
+    h = (window - 1) // 2  # mode="same" is this slice only if len(dense) >= window
+    smooth = np.convolve(dense.astype(float), kernel)[h:h + len(dense)]
     tied = np.nonzero(smooth == smooth.max())[0]
     return int(tied[np.argmax(dense[tied])])
 

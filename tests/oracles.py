@@ -314,7 +314,7 @@ def load_network_lines(path):
         radius = float(head[1])
     except ValueError:
         fail(f"bad header {lines[0]!r}", 1)
-    if n < 0 or radius <= 0:
+    if n < 0 or not (radius > 0 and math.isfinite(radius)):
         fail(f"invalid header values n={head[0]} radius={head[1]}", 1)
     if len(lines) < 1 + n:
         fail(f"expected {n} node lines, file ends early", len(lines))
@@ -332,6 +332,8 @@ def load_network_lines(path):
             fail(f"bad node line {lines[1 + k]!r}", lineno)
         if idx != k:
             fail(f"node ids must be 0..n-1 in order, got {idx} at position {k}", lineno)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            fail(f"non-finite node coordinate in {lines[1 + k]!r}", lineno)
         pos[k] = (x, y)
     edges = []
     for off, raw in enumerate(lines[1 + n:]):

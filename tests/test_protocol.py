@@ -1,6 +1,7 @@
 """Distributed protocol simulation: phases, accounting, classification."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ def test_triangle_all_boundary():
     assert comp.dhat == 2
     assert comp.threshold == pytest.approx(1.0 / 3.0)
     assert comp.histogram == {2: 3}
+    # degree caps that leave the histogram shorter than the smoothing window
+    for cap in (1, 2, 3):
+        labels, trace = default_run(TRIANGLE, degree_cap=cap)
+        assert labels.tolist() == [True, True, True]
+        comp = trace.components[0]
+        assert comp.histogram == {2: 3}  # under cap 1, the overflow bucket
+        assert comp.dhat == (0 if cap == 1 else 2)
 
 
 def test_star_filter_off():
@@ -201,6 +209,45 @@ def test_phase2_tree_matches_bfs_reference():
         assert [(r.messages, r.payload_units) for r in trace.rounds if r.phase == 2] == rounds
         # the tie rule decides: some node has several neighbors one level up
         assert any(sum(level[w] == level[v] - 1 for w in adj[v]) > 1 for v in range(sparse.n))
+    assert trace.multi_component
+
+
+def test_phase3_convergecast_matches_reference():
+    # degree histograms merged node by node up the trace's tree, degrees
+    # above the cap in the overflow bucket cap + 1: a node sends once all its
+    # children have, so the round of a node is its subtree height, and a
+    # histogram of k buckets costs 2k units
+    sparse = network(8, n=150, r=0.6)
+    cap = 4
+    for root in (None, 5):
+        _, trace = default_run(sparse, root=root, degree_cap=cap)
+        parent = trace.parent.tolist()
+        children = [[] for _ in range(sparse.n)]
+        depth = [0] * sparse.n
+        for v, p in enumerate(parent):
+            if p >= 0:
+                children[p].append(v)
+            u = v
+            while parent[u] >= 0:
+                u = parent[u]
+                depth[v] += 1
+        hist = [None] * sparse.n
+        height = [1] * sparse.n
+        for v in sorted(range(sparse.n), key=depth.__getitem__, reverse=True):
+            hist[v] = Counter({min(int(sparse.degrees[v]), cap + 1): 1})
+            for c in children[v]:
+                hist[v].update(hist[c])
+                height[v] = max(height[v], height[c] + 1)
+        rounds = {}
+        for v in range(sparse.n):
+            if parent[v] >= 0:
+                m, units = rounds.get(height[v], (0, 0))
+                rounds[height[v]] = (m + 1, units + 2 * len(hist[v]))
+        assert ([(r.messages, r.payload_units) for r in trace.rounds if r.phase == 3]
+                == [rounds[h] for h in sorted(rounds)])
+        assert [c.histogram for c in trace.components] == [
+            dict(hist[c.root]) for c in trace.components]
+        assert any(cap + 1 in c.histogram for c in trace.components)
     assert trace.multi_component
 
 

@@ -1,6 +1,10 @@
 """Lens geometry, the interior constant, st sampling and threshold errors."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +83,20 @@ def test_sigma_against_independent_quadrature():
     s = bk.sigma_interior()
     assert abs(s - quad_ref) < 1e-11
     assert abs(s - closed_ref) < 1e-11
+
+
+def test_import_leaves_out_quadrature_modules():
+    # scipy.integrate, with the scipy.optimize it imports, adds about 40% to
+    # the package's import time; a fresh interpreter shows what the package loads
+    package_root = str(Path(bk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, boundarykit; boundarykit.sigma_interior(); "
+            "print(*sorted(m for m in sys.modules if m.startswith(('scipy.integrate', "
+            "'scipy.optimize'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
 
 
 def test_clipped_disk_area():
