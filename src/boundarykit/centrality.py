@@ -16,7 +16,6 @@ worker count.  Integer counts are exact or raise NumericalError.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -24,9 +23,11 @@ from functools import partial, reduce
 import numpy as np
 import scipy.sparse as sp
 
+# the thread-count helpers live in a scipy-free module, so that theory can use
+# them; callers of the path measures import them from here
+from ._workers import WORKERS_ENV, resolve_workers
 from .errors import NumericalError
 
-WORKERS_ENV = "BOUNDARYKIT_WORKERS"
 # stress1 takes rows in blocks whose neighbors' degrees sum to about this
 _GATHER_BUDGET = 1 << 22
 # the path measures take sources in blocks that touch about this many edges
@@ -34,24 +35,6 @@ _PATH_BUDGET = 1 << 21
 _INT64_END = 1 << 63
 _LOW32 = (1 << 32) - 1
 _OVERFLOW = "shortest-path counts exceed the int64 range"
-
-
-def resolve_workers(workers=None):
-    """Worker count: explicit argument, else env override, else cpu count."""
-    if workers is not None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        return int(workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        try:
-            w = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}")
-        if w < 1:
-            raise ValueError(f"{WORKERS_ENV} must be >= 1, got {w}")
-        return w
-    return os.cpu_count() or 1
 
 
 def as_csr(graph):

@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 numerical
 failure, such as a stress count beyond int64.  Thread counts come from
 the BOUNDARYKIT_WORKERS environment variable (default: available cores).
+
+Each subcommand imports only the submodules it runs, so a process pays the
+start-up of its own subcommand: ``theory`` and ``render`` load no scipy.
 """
 
 from __future__ import annotations
@@ -12,9 +15,13 @@ import sys
 
 import numpy as np
 
-from . import centrality, geometry, netgen, protocol, render, theory
 from .errors import (BinningMismatchError, FileFormatError, InvalidRegionError,
                      NumericalError, SamplingError)
+
+# the choices of --measure and --rule, spelled out so that parsing imports
+# neither centrality nor protocol; a test keeps them equal to theirs
+_MEASURES = ("betweenness", "khop", "rstress", "st", "stress", "stress1")
+_RULES = ("core", "one-hop")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,7 +45,7 @@ def _build_parser():
     c = sub.add_parser("centrality", help="compute a centrality measure")
     c.add_argument("--network", required=True, help="network dump file")
     c.add_argument("--measure", required=True,
-                   choices=sorted(centrality._MEASURES))
+                   choices=_MEASURES)
     c.add_argument("--k", type=int, help="ball radius for khop")
     c.add_argument("--delta", type=int, help="ball radius for rstress")
     c.add_argument("--out", required=True, help="CSV destination")
@@ -47,7 +54,7 @@ def _build_parser():
     r.add_argument("--network", required=True)
     r.add_argument("--region", help="region file for ground-truth rates")
     r.add_argument("--theta", type=float, default=1.0 / 3.0)
-    r.add_argument("--rule", choices=protocol.RULES, default="core",
+    r.add_argument("--rule", choices=_RULES, default="core",
                    help="decision rule of phase 6 (one-hop suits low density)")
     r.add_argument("--filter", action=argparse.BooleanOptionalAction, default=True)
     r.add_argument("--min-boundary-neighbors", type=int, default=2)
@@ -78,6 +85,8 @@ def _build_parser():
 
 
 def _cmd_generate(args):
+    from . import geometry, netgen
+
     region = geometry.load_region(args.region)
     net = netgen.build_network(region, args.nodes, args.radius, args.seed)
     netgen.save_network(net, args.out)
@@ -92,6 +101,8 @@ def _cmd_generate(args):
 
 
 def _cmd_centrality(args):
+    from . import centrality, netgen
+
     net = netgen.load_network(args.network)
     if args.measure in ("stress", "betweenness") and net.n > 50_000:
         print(f"warning: {args.measure} on {net.n} nodes will be slow "
@@ -105,6 +116,8 @@ def _cmd_centrality(args):
 
 
 def _cmd_protocol(args):
+    from . import geometry, netgen, protocol
+
     region = geometry.load_region(args.region) if args.region else None
     net = netgen.load_network(args.network, region=region)
     config = protocol.ProtocolConfig(
@@ -135,6 +148,8 @@ def _cmd_protocol(args):
 
 
 def _cmd_theory(args):
+    from . import theory
+
     if args.theory_command == "sigma":
         print(f"{theory.sigma_interior():.10f}")
         return 0
@@ -173,6 +188,8 @@ def _load_values_csv(path, n):
 
 
 def _cmd_render(args):
+    from . import geometry, netgen, render
+
     region = geometry.load_region(args.region) if args.region else None
     net = netgen.load_network(args.network, region=region)
     if args.centrality:

@@ -5,6 +5,10 @@ distance exactly equal to the radius included.  Neighbor discovery is one
 range query on a k-d tree of the positions, which compares squared
 distances with radius**2.  The radius must be positive and every coordinate
 finite.
+
+The module imports numpy only; ``scipy.spatial`` loads on the first call
+that builds an adjacency, so reading and writing network files costs no
+scipy import.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import FileFormatError
 from . import geometry
@@ -84,6 +87,9 @@ def _check_geometry(positions, radius):
 
 def adjacency_from_positions(positions, radius):
     """Unit-disk edges by a k-d tree range query; returns (indptr, indices)."""
+    # scipy.spatial's __init__ also loads qhull, scipy.linalg and scipy.special
+    from scipy.spatial import cKDTree
+
     _check_geometry(positions, radius)
     n = len(positions)
     # keys u * n + v of the (m, 2) pairs, which are freed before the CSR is built

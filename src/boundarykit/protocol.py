@@ -63,7 +63,10 @@ class ProtocolConfig:
     selects the phase-6 decision: ``"core"`` (default), the neighborhood-core
     rule, or ``"one-hop"``, which declares exactly the nodes with
     stress1 <= T.  The filter drops a declaration with fewer than
-    ``filter_min_boundary_neighbors`` declared neighbors.
+    ``filter_min_boundary_neighbors`` declared neighbors.  Phase 3 counts
+    every degree above ``degree_cap`` in one overflow bucket, cap + 1, which
+    phase 4 smooths with the rest (``smoothing_window`` buckets wide); when
+    the mode falls there, dhat is its lower bound cap + 1.
     """
     theta: float = 1.0 / 3.0
     rule: str = "core"
@@ -277,10 +280,9 @@ def run_protocol(graph, config=None):
     thresholds = np.zeros(ncomp)
     for ci in range(ncomp):
         root = int(roots[ci])
-        dense = np.zeros(cap + 1, dtype=np.int64)
+        dense = np.zeros(cap + 2, dtype=np.int64)  # the overflow bucket last
         for key, cnt in hists[root].items():
-            if key <= cap:
-                dense[key] = cnt
+            dense[key] = cnt
         dhat = _smoothed_mode(dense, config.smoothing_window)
         t_val = max(0.0, config.theta * dhat * (dhat - 1) / 2.0)
         thresholds[ci] = t_val

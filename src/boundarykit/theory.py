@@ -11,7 +11,11 @@ with 2x the radial density of a uniform point in the unit disk.  Near a
 straight boundary the visible disk shrinks and the expectation drops;
 ``sample_st`` measures the full distribution by Monte Carlo in the
 half-plane model: a node at distance s from the boundary, neighbor count
-Poisson(mu * A(s) / pi), neighbors uniform in the clipped unit disk.
+Poisson(mu * A(s) / pi), neighbors uniform in the clipped unit disk.  Its
+random stream is fixed by the seed, the batch size and the per-batch
+chunking, so any change to those changes the samples.
+
+The module needs numpy only; it imports no scipy.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._workers import resolve_workers
 from .errors import BinningMismatchError
-from .centrality import resolve_workers
 
 _BATCH = 10_000
 _DEFAULT_BINS = 100
@@ -172,23 +176,27 @@ class StDistribution:
 
 
 def _draw_clipped(rng, count, s):
-    """``count`` uniform points from the unit disk clipped to y >= -s."""
-    if count == 0:
-        return np.empty((0, 2))
+    """``count`` uniform points from the unit disk clipped to y >= -s.
+
+    Rejection from the whole disk: each round draws all its radii, then all
+    its angles, and keeps the points with y >= -s in draw order.  The round
+    sizes fix how many random numbers a draw uses, which ``sample_st``'s
+    output depends on.
+    """
+    out = np.empty((count, 2))
     accept = clipped_disk_area(s) / np.pi
-    chunks = []
     got = 0
     while got < count:
         m = int((count - got) / accept * 1.08) + 16
         r = np.sqrt(rng.random(m))
         th = rng.random(m) * (2.0 * np.pi)
-        x = r * np.cos(th)
         y = r * np.sin(th)
-        keep = y >= -s
-        pts = np.column_stack([x[keep], y[keep]])
-        chunks.append(pts)
-        got += len(pts)
-    return np.concatenate(chunks)[:count]
+        keep = np.flatnonzero(y >= -s)[:count - got]
+        rows = slice(got, got + len(keep))
+        out[rows, 0] = r[keep] * np.cos(th[keep])
+        out[rows, 1] = y[keep]
+        got += len(keep)
+    return out
 
 
 def _far_pair_counts(pts):
@@ -209,8 +217,10 @@ def _far_pair_counts(pts):
     right[:, :2, :] = pts.transpose(0, 2, 1)
     right[:, 2, :] = b
     right[:, 3, :] = 1.0
-    m = left @ right
-    return np.count_nonzero(m > 0, axis=(1, 2)) // 2
+    far = (left @ right > 0).reshape(k, nv * nv)
+    # a uint32 sum of the bytes is about twice as fast as count_nonzero along
+    # an axis; nv * nv stays below 2**32 for any nv whose tensor fits in memory
+    return far.view(np.uint8).sum(axis=1, dtype=np.uint32).astype(np.int64) // 2
 
 
 def _sample_batch(seed, count, s, lam):

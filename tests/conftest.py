@@ -7,11 +7,34 @@ bit-reproducible.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import boundarykit as bk
+
+# fresh interpreters ---------------------------------------------------------
+
+
+@pytest.fixture
+def modules_after(tmp_path):
+    """Runs Python code in a fresh interpreter, in ``tmp_path``, on the
+    boundarykit this process imported; returns the modules loaded by then."""
+    package_root = str(Path(bk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+
+    def run(code):
+        code += "\nimport sys\nprint('\\nmodules:', *sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        return set(out.stdout.rsplit("modules:", 1)[1].split())
+    return run
+
 
 # sampled st distributions ---------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 Everything in here is written for clarity, not speed: Floyd-Warshall hop
 distances, explicit enumeration of all shortest paths, O(n^2) adjacency.
-None of it shares code with boundarykit internals.
+None of it shares code with boundarykit internals, except the st sampler
+references, which call ``clipped_disk_area`` as the sampler did.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from boundarykit.errors import FileFormatError
+from boundarykit.theory import clipped_disk_area
 
 INF = float("inf")
 
@@ -277,6 +279,51 @@ def neighborhood_st_mc(samples, seed):
     qx, qy = clipped(depth)
     p = np.count_nonzero((px - qx) ** 2 + (py - qy) ** 2 > 1.0) / samples
     return p, math.sqrt(p * (1.0 - p) / samples)
+
+
+# ---------------------------------------------------------------------------
+# st sampler references
+#
+# The rejection draw and the far-pair count of ``theory`` as they stood
+# before their rewrite, kept unchanged: the rewrite must reproduce their
+# output bit for bit, because the samples of ``sample_st`` depend on every
+# random number drawn.
+
+
+def draw_clipped(rng, count, s):
+    """``count`` uniform points from the unit disk clipped to y >= -s."""
+    if count == 0:
+        return np.empty((0, 2))
+    accept = clipped_disk_area(s) / np.pi
+    chunks = []
+    got = 0
+    while got < count:
+        m = int((count - got) / accept * 1.08) + 16
+        r = np.sqrt(rng.random(m))
+        th = rng.random(m) * (2.0 * np.pi)
+        x = r * np.cos(th)
+        y = r * np.sin(th)
+        keep = y >= -s
+        pts = np.column_stack([x[keep], y[keep]])
+        chunks.append(pts)
+        got += len(pts)
+    return np.concatenate(chunks)[:count]
+
+
+def far_pair_counts(pts):
+    """Per realization, count point pairs farther apart than 1."""
+    k, nv, _ = pts.shape
+    b = np.sum(pts * pts, axis=2, dtype=np.float32) - np.float32(0.5)
+    left = np.empty((k, nv, 4), dtype=np.float32)
+    left[:, :, :2] = -2.0 * pts
+    left[:, :, 2] = 1.0
+    left[:, :, 3] = b
+    right = np.empty((k, 4, nv), dtype=np.float32)
+    right[:, :2, :] = pts.transpose(0, 2, 1)
+    right[:, 2, :] = b
+    right[:, 3, :] = 1.0
+    m = left @ right
+    return np.count_nonzero(m > 0, axis=(1, 2)) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,35 @@ def test_centrality_large_network_warns(tmp_path, capsys):
     assert out.exists()
 
 
+def test_cli_choices_match_library():
+    # the parser spells the choices out so that it imports neither module
+    from boundarykit import centrality, cli, protocol
+    assert list(cli._MEASURES) == sorted(centrality._MEASURES)
+    assert cli._RULES == protocol.RULES
+
+
+def test_cli_imports_only_what_it_runs(tmp_path, modules_after):
+    region = bk.square_with_hole(6.0, 2.0)
+    bk.save_region(region, tmp_path / "region.txt")
+    bk.save_network(bk.build_network(region, 200, 1.0, 5), tmp_path / "net.txt")
+
+    def scipy_after(*argv):
+        code = f"from boundarykit.cli import main\nassert main({list(argv)!r}) == 0"
+        return {m for m in modules_after(code) if m.startswith("scipy")}
+
+    # st needs the sparse adjacency, but reading the network needs no k-d tree
+    loaded = scipy_after("centrality", "--network", "net.txt", "--measure", "st",
+                         "--out", "st.csv")
+    assert "scipy.sparse" in loaded
+    assert not {m for m in loaded if m.startswith("scipy.spatial")}
+    # theory and render need numpy only
+    assert scipy_after("theory", "sigma") == set()
+    assert scipy_after("theory", "dist", "--s", "0", "--mu", "20", "--samples", "500",
+                       "--seed", "1", "--out", "dist.csv") == set()
+    assert scipy_after("render", "--network", "net.txt", "--centrality", "st.csv",
+                       "--region", "region.txt", "--out", "map.svg") == set()
+
+
 # -- entry point -------------------------------------------------------------
 
 

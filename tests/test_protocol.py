@@ -63,7 +63,20 @@ def test_triangle_all_boundary():
         assert labels.tolist() == [True, True, True]
         comp = trace.components[0]
         assert comp.histogram == {2: 3}  # under cap 1, the overflow bucket
-        assert comp.dhat == (0 if cap == 1 else 2)
+        assert comp.dhat == 2            # under cap 1, the bucket's lower bound
+
+
+def test_degrees_mostly_over_cap():
+    # K13 (degree 12, one node 13) plus a pendant leaf: under cap 10 all but
+    # the leaf land in the overflow bucket 11, which holds the mode
+    adj = [[u for u in range(13) if u != v] for v in range(13)] + [[0]]
+    adj[0].append(13)
+    for window in (1, 5):
+        _, trace = default_run(adj, degree_cap=10, smoothing_window=window)
+        comp = trace.components[0]
+        assert comp.histogram == {1: 1, 11: 13}
+        assert comp.dhat == 11
+        assert comp.threshold == pytest.approx(11 * 10 / 6)
 
 
 def test_star_filter_off():

@@ -1,17 +1,13 @@
 """Lens geometry, the interior constant, st sampling and threshold errors."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_
 
 import boundarykit as bk
-from boundarykit import BinningMismatchError
+from boundarykit import BinningMismatchError, theory
 
 import oracles
 
@@ -85,18 +81,13 @@ def test_sigma_against_independent_quadrature():
     assert abs(s - closed_ref) < 1e-11
 
 
-def test_import_leaves_out_quadrature_modules():
-    # scipy.integrate, with the scipy.optimize it imports, adds about 40% to
-    # the package's import time; a fresh interpreter shows what the package loads
-    package_root = str(Path(bk.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, boundarykit; boundarykit.sigma_interior(); "
-            "print(*sorted(m for m in sys.modules if m.startswith(('scipy.integrate', "
-            "'scipy.optimize'))))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path})
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == []
+def test_import_leaves_out_quadrature_modules(modules_after):
+    # sigma has a closed form, so scipy.integrate (and the scipy.optimize it
+    # imports) stays out; the package loads its submodules on first use, and
+    # theory needs numpy only, so no scipy module loads at all
+    loaded = modules_after("import boundarykit; boundarykit.sigma_interior()")
+    assert "boundarykit.theory" in loaded
+    assert not {m for m in loaded if m.startswith("scipy")}
 
 
 def test_clipped_disk_area():
@@ -146,6 +137,60 @@ def test_sample_st_worker_independent():
     b = bk.sample_st(0.2, 60.0, 25_000, seed=17, workers=4)
     assert np.array_equal(a.counts, b.counts)
     assert a.mean == b.mean and a.stddev == b.stddev
+
+
+class _CountingRng:
+    """A generator that counts its ``random`` calls, two per rejection round."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self, m):
+        self.calls += 1
+        return self.rng.random(m)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.9, 1.0, 2.0])
+def test_draw_clipped_matches_reference(s):
+    for seed in range(4):
+        for count in (0, 1, 50, 5000):
+            new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = theory._draw_clipped(new, count, s)
+            want = oracles.draw_clipped(ref, count, s)
+            assert got.shape == want.shape == (count, 2) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert new.random() == ref.random()  # the same numbers were drawn
+
+
+def test_draw_clipped_several_rounds():
+    # under seed 77 the first round at s = 0 keeps fewer than 50 points
+    ref, new = _CountingRng(77), _CountingRng(77)
+    want = oracles.draw_clipped(ref, 50, 0.0)
+    got = theory._draw_clipped(new, 50, 0.0)
+    assert ref.calls == new.calls == 4
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("v", [2, 100, 200])
+def test_far_pair_counts_matches_reference(v):
+    rng = np.random.default_rng(v)
+    for s in (0.0, 1.0):
+        pts = oracles.draw_clipped(rng, 30 * v, s).reshape(30, v, 2)
+        got, want = theory._far_pair_counts(pts), oracles.far_pair_counts(pts)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_st_matches_reference(monkeypatch, workers):
+    cases = [(0.0, 200.0, 20_000, 321000), (0.4, 60.0, 25_000, 33)]
+    new = [bk.sample_st(*case, workers=workers) for case in cases]
+    monkeypatch.setattr(theory, "_draw_clipped", oracles.draw_clipped)
+    monkeypatch.setattr(theory, "_far_pair_counts", oracles.far_pair_counts)
+    for case, a in zip(cases, new):
+        b = bk.sample_st(*case, workers=workers)
+        assert np.array_equal(a.counts, b.counts)
+        assert a.mean == b.mean and a.stddev == b.stddev
 
 
 def test_sparse_network_degenerates():
