@@ -7,15 +7,22 @@ whose two endpoints both lie within a hop ball around the node; ``stress1``
 and ``normalized_st`` are the purely local quantities used by the boundary
 protocol.
 
-The four path measures share one kernel, Brandes' algorithm as sparse
-products: blocks of sources walk forward one BFS level per product with
-the adjacency, then sum dependencies back up.  Blocks run on ``workers``
-threads and are summed in block order, so results do not depend on the
-worker count.  Integer counts are exact or raise NumericalError.
+Stress, betweenness and restricted stress share one kernel, Brandes'
+algorithm as sparse products: blocks of sources walk forward one BFS level
+per product with the adjacency, then sum dependencies back up.  Each source
+owns one flat slot per node of its component, so a level is the entries of
+its product whose slot no earlier level reached, and the backward pass reads
+each product at a level's slots: a level costs one product and one matrix
+build either way.  A block holds sources whose component sizes sum to at
+most ``_ENTRY_BUDGET``, which bounds its memory whatever n is.  Blocks run
+on ``workers`` threads and are summed in block order, so results do not
+depend on the worker count.  Integer counts are exact or raise
+NumericalError.  ``khop_size`` takes boolean products with I + A instead.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -30,8 +37,11 @@ from .errors import NumericalError
 
 # stress1 takes rows in blocks whose neighbors' degrees sum to about this
 _GATHER_BUDGET = 1 << 22
-# the path measures take sources in blocks that touch about this many edges
-_PATH_BUDGET = 1 << 21
+# the path measures and khop take sources in blocks that keep at most this
+# many (source, node) entries; larger blocks spend less CPU per source on
+# building matrices but hold more memory per worker, and this size was picked
+# from the peak RSS measured on 1.5k-node networks
+_ENTRY_BUDGET = 3 << 14
 _INT64_END = 1 << 63
 _LOW32 = (1 << 32) - 1
 _OVERFLOW = "shortest-path counts exceed the int64 range"
@@ -64,23 +74,26 @@ def _adjacency(indptr, indices, dtype=float):
 
 
 def _blocks(work, budget):
-    """Consecutive index ranges (lo, hi) whose work sums to about ``budget``."""
-    _, starts = np.unique((np.cumsum(work) - work) // budget, return_index=True)
-    return list(zip(starts, [*starts[1:], len(work)]))
+    """Consecutive index ranges (lo, hi) whose work sums to at most
+    ``budget``, or that hold a single index."""
+    ends = np.cumsum(work)
+    blocks, lo = [], 0
+    while lo < len(ends):
+        cap = ends[lo] - work[lo] + budget
+        hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
 
 
 def _like(m, data):
     return sp.csr_array((data, m.indices, m.indptr), shape=m.shape)
 
 
-def _pattern(m):
-    return _like(m, np.ones_like(m.data))
-
-
 def _add(x, y):
     """x + y for nonnegative x and y; an int64 entry that wraps reads negative."""
     z = x + y
-    if z.dtype.kind == "i" and z.nnz and z.data.min() < 0:
+    if z.dtype.kind == "i" and z.size and z.min() < 0:
         raise NumericalError(_OVERFLOW)
     return z
 
@@ -101,45 +114,116 @@ def _product(x, a):
     return y
 
 
-def _levels(a, level, depth):
+def _csr(graph):
+    """as_csr's arrays, with int32 indices where they fit."""
+    indptr, indices = as_csr(graph)
+    itype = np.int32 if len(indices) <= np.iinfo(np.int32).max else np.int64
+    return indptr.astype(itype), indices.astype(itype)
+
+
+def _reach(indptr, indices, depth=None):
+    """Per node, a bound on the nodes within ``depth`` hops of it, itself
+    included, and its rank within its component.
+
+    The bound is the component size, or with ``depth`` the walks of up to
+    that many steps, capped at the component size; the walk count stops
+    early once it stops growing.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    a = _adjacency(indptr, indices)
+    # the strong components of a symmetric adjacency are its components, and
+    # need no transposed copy
+    _, label = connected_components(a, connection="strong")
+    size = np.bincount(label)
+    order = np.argsort(label, kind="stable")
+    rank = np.empty(len(label), dtype=np.intp)
+    rank[order] = np.arange(len(label)) - np.repeat(np.cumsum(size) - size, size)
+    bound = size[label]
+    if depth is not None:
+        walks = np.ones(len(label))
+        for _ in range(depth):  # Horner: 1 + A @ (walks of one step fewer)
+            grown = np.minimum(1.0 + a @ walks, bound)
+            if np.array_equal(grown, walks):
+                break
+            walks = grown
+        bound = walks
+    return bound, rank
+
+
+class _Slots:
+    """Flat slots for the (source, node) entries of a block of sources:
+    each source owns a run as long as its component, indexed by the node's
+    rank within the component, so ``len`` bounds the entries the block keeps."""
+
+    def __init__(self, size, rank):
+        self.starts = np.cumsum(size) - size
+        self.rank = rank
+        self.len = int(size.sum())
+
+    def __call__(self, m):
+        """The slot of every stored entry of m, which has one row per source."""
+        s = self.rank[m.indices]
+        s += np.repeat(self.starts, np.diff(m.indptr))
+        return s
+
+
+def _levels(a, level, slots, depth):
     """Forward pass from level 0, one row per source: level j, up to
-    ``depth``, is canonical and holds sigma, the number of shortest paths
-    from the row's source, on the nodes at hop distance j.  Masking levels
-    j - 1 and j from ``level @ a`` leaves level j + 1."""
-    levels, seen = [level], _pattern(level)
+    ``depth``, holds sigma, the number of shortest paths from the row's
+    source, on the nodes at hop distance j.  The entries of ``level @ a``
+    whose slot no earlier level reached make level j + 1."""
+    seen = np.zeros(slots.len, dtype=bool)
+    seen[slots(level)] = True
+    levels = [level]
     while depth is None or len(levels) <= depth:
         step = _product(level, a)
-        level = step - step.multiply(seen)
-        if not level.nnz:
+        s = slots(step)
+        new = ~seen[s]
+        s = s[new]
+        if not len(s):
             break
-        level.sort_indices()
-        seen = _pattern(levels[-1] + level)
+        seen[s] = True
+        ends = np.zeros(len(new) + 1, dtype=step.indptr.dtype)
+        np.cumsum(new, out=ends[1:])
+        level = sp.csr_array((step.data[new], step.indices[new], ends[step.indptr]), shape=step.shape)
         levels.append(level)
     return levels
 
 
-def _backward(levels, a, base, delta=None):
+def _backward(levels, a, slots, base, delta=None):
     """Backward pass: yields (j, sigma_j, x_j - base) for j = D .. 1, with
-    x_j = base(sigma_j) + (u_{j+1} @ a) on level j's pattern, canonical so
-    its data lines up with sigma_j's.  x_j - 1 counts the DAG paths down
-    (stress); sigma * (x_j - 1 / sigma) is the Brandes dependency.  u is x,
-    or with ``delta`` the per-length DAG path counts for lengths < delta."""
-    below = []
-    for j in range(len(levels) - 1, 0, -1):
-        sigma = levels[j]
-        pat, b = _pattern(sigma), base(sigma.data)
-        ps = [_product(g, a).multiply(pat) for g in below]
-        x = reduce(_add, ps, _like(sigma, b))
-        x.sort_indices()
-        yield j, sigma, x.data - b
-        below = [x] if delta is None else [pat] + ps[:delta - 1]
+    x_j = base(sigma_j) + (u_{j+1} @ a) read at level j's entries, aligned
+    with sigma_j's data.  x_j - 1 counts the DAG paths down (stress);
+    sigma * (x_j - 1 / sigma) is the Brandes dependency.  u is x, or with
+    ``delta`` the per-length DAG path counts for lengths < delta.  Each
+    level is dropped from ``levels`` once it has been used."""
+    buf = np.zeros(slots.len, dtype=levels[0].dtype)
+    below, upper = [], None
+    while len(levels) > 1:
+        sigma = levels.pop()
+        at, b = slots(sigma), base(sigma.data)
+        ps = []
+        for u in below:
+            p = _product(_like(upper, u), a)
+            s = slots(p)
+            buf[s] = p.data
+            ps.append(buf[at])
+            buf[s] = 0
+        x = reduce(_add, ps, b)
+        yield len(levels), sigma, x - b
+        below = [x] if delta is None else [np.ones_like(b)] + ps[:delta - 1]
+        upper = sigma
 
 
-def _path_count_sums(levels, a, delta=None):
+def _path_count_sums(levels, a, slots, delta=None):
     """Per node, sigma * (DAG paths down) summed over levels 1..delta, as the
     sums of each term's high and low 32-bit halves, which cannot wrap."""
     out = np.zeros((2, a.shape[0]), dtype=np.int64)
-    for j, sigma, p in _backward(levels, a, np.ones_like, delta):
+    if delta is not None and len(levels) <= delta + 1:
+        # every level, and every DAG path down, is within delta: plain stress
+        delta = None
+    for j, sigma, p in _backward(levels, a, slots, np.ones_like, delta):
         if delta is not None and j > delta:
             continue
         s = sigma.data
@@ -159,27 +243,38 @@ def _join(halves):
 
 
 def _run_sources(graph, dtype, depth, block_sum, workers):
-    """Sum block_sum(levels, a) over blocks of sources, in block order.
+    """Sum block_sum(levels, a, slots) over blocks of sources, in block order.
 
     ``a`` is the adjacency in ``dtype``, with int32 indices where they fit.
-    A block holds consecutive sources whose passes touch about _PATH_BUDGET
-    edges; a pass touches an edge once per level at most, so at most the
-    degree sum, or the degree sum over walks of up to ``depth`` steps.
+    A source keeps at most one entry per node of its component, so a block
+    holds consecutive sources whose component sizes sum to at most
+    _ENTRY_BUDGET (or a single source); its slots and levels stay within
+    that many entries whatever n is.  Blocks run on ``workers`` threads
+    with at most 2 * workers of them submitted and not yet summed.
     """
-    indptr, indices = as_csr(graph)
-    itype = np.int32 if len(indices) <= np.iinfo(np.int32).max else np.int64
-    a = _adjacency(indptr.astype(itype), indices.astype(itype), dtype)
-    work = degs = np.diff(indptr).astype(float)
-    for _ in range(depth or 0):  # Horner: sum of A**i @ degs for i <= depth
-        work = degs + a @ work
-    work = np.minimum(work, degs.sum()) if depth else np.full(len(degs), degs.sum())
+    indptr, indices = _csr(graph)
+    size, rank = _reach(indptr, indices)
+    a = _adjacency(indptr, indices, dtype)
     # an empty graph runs one empty block, which gives the sum its shape
-    blocks = _blocks(work, _PATH_BUDGET) or [(0, 0)]
-    eye = sp.eye_array(len(degs), dtype=dtype, format="csr")
-    run = lambda block: block_sum(_levels(a, eye[slice(*block)], depth), a)
+    blocks = _blocks(size, _ENTRY_BUDGET) or [(0, 0)]
+
+    def run(block):
+        lo, hi = block
+        level = sp.csr_array((np.ones(hi - lo, dtype), np.arange(lo, hi, dtype=indices.dtype),
+                              np.arange(hi - lo + 1, dtype=indptr.dtype)), shape=(hi - lo, a.shape[0]))
+        slots = _Slots(size[lo:hi], rank)
+        return block_sum(_levels(a, level, slots, depth), a, slots)
+
     w = min(resolve_workers(workers), len(blocks))
-    with ThreadPoolExecutor(max_workers=w) as ex:  # no thread starts for w = 1
-        return sum((ex.map if w > 1 else map)(run, blocks))
+    if w == 1:
+        return sum(map(run, blocks))
+    with ThreadPoolExecutor(max_workers=w) as ex:
+        pending, total = deque(), 0
+        for block in blocks:
+            pending.append(ex.submit(run, block))
+            if len(pending) > 2 * w:  # bounds the block sums held at once
+                total = total + pending.popleft().result()
+        return sum((f.result() for f in pending), total)
 
 
 def stress_centrality(graph, workers=None):
@@ -190,9 +285,10 @@ def stress_centrality(graph, workers=None):
     return _join(_run_sources(graph, np.int64, None, _path_count_sums, workers))
 
 
-def _dependency_sums(levels, a):
+def _dependency_sums(levels, a, slots):
     return sum((np.bincount(sigma.indices, sigma.data * deps, a.shape[0])
-                for _, sigma, deps in _backward(levels, a, np.reciprocal)), np.zeros(a.shape[0]))
+                for _, sigma, deps in _backward(levels, a, slots, np.reciprocal)),
+               np.zeros(a.shape[0]))
 
 
 def betweenness_centrality(graph, workers=None):
@@ -204,12 +300,29 @@ def betweenness_centrality(graph, workers=None):
 
 
 def khop_size(graph, k):
-    """Number of nodes within hop distance k of each node, excluding itself."""
+    """Number of nodes within hop distance k of each node, excluding itself.
+
+    The ball of radius k is the row pattern of (I + A)**k, taken by boolean
+    products over blocks of rows.  A block's balls, bounded by the walks of
+    up to k steps and by the component sizes, sum to at most _ENTRY_BUDGET;
+    a block stops early once its balls stop growing.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    # hop distance is symmetric: a node's column counts its ball, itself included
-    count = lambda levels, a: sum(np.bincount(lv.indices, minlength=a.shape[0]) for lv in levels)
-    return _run_sources(graph, bool, k, count, None) - 1
+    indptr, indices = _csr(graph)
+    bound, _ = _reach(indptr, indices, k)
+    n = len(bound)
+    step = _adjacency(indptr, indices, bool) + sp.eye_array(n, dtype=bool, format="csr")
+    out = np.empty(n, dtype=np.int64)
+    for lo, hi in _blocks(bound, _ENTRY_BUDGET):
+        ball = step[lo:hi]
+        for _ in range(k - 1):
+            grown = ball @ step
+            if grown.nnz == ball.nnz:
+                break
+            ball = grown
+        out[lo:hi] = np.diff(ball.indptr) - 1
+    return out
 
 
 def restricted_stress(graph, delta):

@@ -110,8 +110,9 @@ def _cmd_centrality(args):
     result = centrality.compute(net, args.measure, k=args.k, delta=args.delta)
     result.to_csv(args.out)
     vals = result.values
-    print(f"wrote {args.out}: measure={args.measure} n={net.n} "
-          f"min={vals.min():.6g} mean={vals.mean():.6g} max={vals.max():.6g}")
+    summary = (f" min={vals.min():.6g} mean={vals.mean():.6g} max={vals.max():.6g}"
+               if len(vals) else "")
+    print(f"wrote {args.out}: measure={args.measure} n={net.n}{summary}")
     return 0
 
 

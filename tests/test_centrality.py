@@ -274,20 +274,28 @@ def test_exact_checks_agree_with_oracle(monkeypatch):
             assert np.array_equal(bk.restricted_stress(adj, d), o_rstr[d]), seed
 
 
-def test_kernel_across_blocks(monkeypatch):
-    # two geometric pieces and an isolated node between them, with a budget
-    # that splits the sources into many blocks
+def _pieces():
+    """Two geometric pieces with an isolated node between them."""
     rng = np.random.default_rng(21)
     _, left = oracles.geometric_graph(30, 0.35, rng)
     _, right = oracles.geometric_graph(20, 0.4, rng)
-    adj = left + [[]] + [[v + 31 for v in nb] for nb in right]
-    monkeypatch.setattr(centrality, "_PATH_BUDGET", 3 * sum(map(len, adj)))
+    return left + [[]] + [[v + 31 for v in nb] for nb in right]
+
+
+def test_kernel_across_blocks(monkeypatch):
+    # a budget that splits the sources into more blocks than three workers
+    # keep in flight; every block keeps its slots within the budget unless
+    # it holds a single source
+    adj = _pieces()
+    budget = 3 * len(adj)
+    monkeypatch.setattr(centrality, "_ENTRY_BUDGET", budget)
     blocks = []
     levels = centrality._levels
 
-    def counted(a, level, depth):
+    def counted(a, level, slots, depth):
         blocks.append(level.shape[0])
-        return levels(a, level, depth)
+        assert slots.len <= budget or level.shape[0] == 1
+        return levels(a, level, slots, depth)
 
     monkeypatch.setattr(centrality, "_levels", counted)
 
@@ -303,18 +311,78 @@ def test_kernel_across_blocks(monkeypatch):
         monkeypatch.setenv(centrality.WORKERS_ENV, str(w))
         runs[w] = {"stress": run(bk.stress_centrality),
                    "betweenness": run(bk.betweenness_centrality),
-                   **{f"rstress{d}": run(bk.restricted_stress, d) for d in (1, 2)},
-                   **{f"khop{k}": run(bk.khop_size, k) for k in (1, 2, 3)}}
+                   **{f"rstress{d}": run(bk.restricted_stress, d) for d in (1, 2)}}
     one = runs[1]
     assert np.array_equal(one["stress"], o_stress)
     np.testing.assert_allclose(one["betweenness"], o_betw, rtol=1e-9, atol=1e-9)
     for d in (1, 2):
         assert np.array_equal(one[f"rstress{d}"], o_rstr[d])
-    for k in (1, 2, 3):
-        assert np.array_equal(one[f"khop{k}"], oracles.brute_khop(adj, k))
     # the blocks and their order of summation do not depend on the workers
     for name, values in runs[3].items():
         assert np.array_equal(values, one[name]), name
+
+
+def test_khop_across_blocks(monkeypatch):
+    adj = _pieces()
+    budget = 2 * len(adj)
+    monkeypatch.setattr(centrality, "_ENTRY_BUDGET", budget)
+    split = centrality._blocks
+    seen = []
+
+    def recorded(work, b):
+        blocks = split(work, b)
+        seen.append(blocks)
+        return blocks
+
+    monkeypatch.setattr(centrality, "_blocks", recorded)
+    for k in (1, 2, 5):
+        seen.clear()
+        assert np.array_equal(bk.khop_size(adj, k), oracles.brute_khop(adj, k)), k
+        assert len(seen[-1]) >= 4, k
+
+
+@settings(max_examples=50, deadline=None)
+@given(st_.lists(st_.integers(min_value=0, max_value=40), max_size=60),
+       st_.integers(min_value=1, max_value=50))
+def test_blocks_cover_within_budget(work, budget):
+    blocks = centrality._blocks(np.array(work, dtype=np.int64), budget)
+    edges = [0] + [hi for _, hi in blocks]
+    assert blocks == list(zip(edges[:-1], edges[1:])) and edges[-1] == len(work)
+    for lo, hi in blocks:
+        assert hi - lo == 1 or (hi > lo and sum(work[lo:hi]) <= budget)
+        # greedy: the next index would not have fit
+        assert hi == len(work) or sum(work[lo:hi + 1]) > budget
+
+
+def test_isolated_nodes_stay_small():
+    # one slot per source: the input, the output and the per-node arrays
+    # take a few MB, where n slots per source would take gigabytes
+    import tracemalloc
+
+    n = 200_000
+    adj = [[] for _ in range(n)]
+    bk.stress_centrality([[]])  # the first call imports csgraph
+    for measure, args in ((bk.stress_centrality, ()), (bk.betweenness_centrality, ()),
+                          (bk.restricted_stress, (2,))):
+        tracemalloc.start()
+        try:
+            values = measure(adj, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == n and not values.any()
+        assert peak < 24 * 2**20, (measure.__name__, peak)
+
+
+def test_huge_radius_stops_when_balls_stop_growing():
+    from scipy.sparse import csgraph
+
+    net = bk.build_network(bk.square_with_hole(8.0, 3.0), 400, 1.0, seed=11)
+    # the walk bound and the balls saturate within the diameter, so these
+    # return as fast as a full search
+    assert np.array_equal(bk.restricted_stress(net, 10**9), bk.stress_centrality(net))
+    _, label = csgraph.connected_components(centrality._adjacency(net.indptr, net.indices))
+    assert np.array_equal(bk.khop_size(net, 10**9), np.bincount(label)[label] - 1)
 
 
 # -- parallel execution ------------------------------------------------------

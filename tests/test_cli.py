@@ -114,6 +114,19 @@ def test_centrality_st(triangle_file, tmp_path):
     assert read_values(out) == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("measure", ["st", "stress", "betweenness", "khop", "rstress"])
+def test_centrality_empty_network(tmp_path, capsys, measure):
+    # a network of no nodes is valid input; its summary has no min/mean/max
+    net = tmp_path / "empty.txt"
+    net.write_text("0 1.0\n")
+    out = tmp_path / "vals.csv"
+    assert main(["centrality", "--network", str(net), "--measure", measure,
+                 "--k", "2", "--delta", "2", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["node_id,value"]
+    printed = capsys.readouterr().out
+    assert f"measure={measure} n=0" in printed and "min=" not in printed
+
+
 def test_centrality_nonfinite_network_exits_2(tmp_path, capsys):
     net = tmp_path / "net.txt"
     net.write_text("2 1.0\n0 0.0 inf\n1 nan 0.0\n0 1\n")
