@@ -34,6 +34,7 @@ import scipy.sparse as sp
 # them; callers of the path measures import them from here
 from ._workers import WORKERS_ENV, resolve_workers
 from .errors import NumericalError
+from .netgen import SensorNetwork, _index_dtype
 
 # stress1 takes rows in blocks whose neighbors' degrees sum to about this
 _GATHER_BUDGET = 1 << 22
@@ -48,19 +49,21 @@ _OVERFLOW = "shortest-path counts exceed the int64 range"
 
 
 def as_csr(graph):
-    """CSR view (indptr, indices) of a SensorNetwork or adjacency lists."""
+    """CSR view (indptr, indices) of a SensorNetwork or adjacency lists; the
+    arrays built from lists take ``netgen._index_dtype``, as a network's do."""
     if hasattr(graph, "indptr"):
         return graph.indptr, graph.indices
     n = len(graph)
     degs = np.fromiter((len(a) for a in graph), dtype=np.int64, count=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degs, out=indptr[1:])
+    dtype = _index_dtype(n, int(indptr[-1]))
     if n and indptr[-1]:
-        indices = np.concatenate([np.sort(np.asarray(a, dtype=np.int64))
+        indices = np.concatenate([np.sort(np.asarray(a, dtype=dtype))
                                   for a in graph if len(a)])
     else:
-        indices = np.empty(0, dtype=np.int64)
-    return indptr, indices
+        indices = np.empty(0, dtype=dtype)
+    return indptr.astype(dtype, copy=False), indices
 
 
 def _adjacency(indptr, indices, dtype=float):
@@ -112,13 +115,6 @@ def _product(x, a):
         if (hi + lo).max() >= 1 << 31:
             raise NumericalError(_OVERFLOW)
     return y
-
-
-def _csr(graph):
-    """as_csr's arrays, with int32 indices where they fit."""
-    indptr, indices = as_csr(graph)
-    itype = np.int32 if len(indices) <= np.iinfo(np.int32).max else np.int64
-    return indptr.astype(itype), indices.astype(itype)
 
 
 def _reach(indptr, indices, depth=None):
@@ -245,14 +241,14 @@ def _join(halves):
 def _run_sources(graph, dtype, depth, block_sum, workers):
     """Sum block_sum(levels, a, slots) over blocks of sources, in block order.
 
-    ``a`` is the adjacency in ``dtype``, with int32 indices where they fit.
+    ``a`` is the adjacency in ``dtype``, over as_csr's arrays.
     A source keeps at most one entry per node of its component, so a block
     holds consecutive sources whose component sizes sum to at most
     _ENTRY_BUDGET (or a single source); its slots and levels stay within
     that many entries whatever n is.  Blocks run on ``workers`` threads
     with at most 2 * workers of them submitted and not yet summed.
     """
-    indptr, indices = _csr(graph)
+    indptr, indices = as_csr(graph)
     size, rank = _reach(indptr, indices)
     a = _adjacency(indptr, indices, dtype)
     # an empty graph runs one empty block, which gives the sum its shape
@@ -309,7 +305,7 @@ def khop_size(graph, k):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    indptr, indices = _csr(graph)
+    indptr, indices = as_csr(graph)
     bound, _ = _reach(indptr, indices, k)
     n = len(bound)
     step = _adjacency(indptr, indices, bool) + sp.eye_array(n, dtype=bool, format="csr")
@@ -346,8 +342,19 @@ def stress1(graph):
     Twice the triangles at v is the row sum of (A @ A) * A.  Rows are taken
     in blocks whose gather, the sum of the neighbors' degrees, stays near a
     fixed budget, which bounds the A[rows] @ A intermediate at any density.
+
+    A SensorNetwork keeps the result as a read-only int64 array, which later
+    calls, ``normalized_st`` and ``run_protocol`` return or read instead of
+    counting again; this function alone stores it.  Adjacency lists are
+    counted on every call.
     """
-    return _stress1(_adjacency(*as_csr(graph)))
+    if not isinstance(graph, SensorNetwork):
+        return _stress1(_adjacency(*as_csr(graph)))
+    if graph._kept_stress1 is None:
+        s1 = _stress1(_adjacency(graph.indptr, graph.indices))
+        s1.flags.writeable = False
+        graph._kept_stress1 = s1
+    return graph._kept_stress1
 
 
 def _stress1(a):
@@ -369,7 +376,8 @@ def st_from_stress1(degs, s1):
 
 
 def normalized_st(graph):
-    """st(v) = stress1 / C(deg, 2), defined as 0 for degree <= 1."""
+    """st(v) = stress1 / C(deg, 2), defined as 0 for degree <= 1; on a
+    SensorNetwork, stress1 is the one ``stress1`` keeps."""
     indptr, _ = as_csr(graph)
     return st_from_stress1(np.diff(indptr), stress1(graph))
 

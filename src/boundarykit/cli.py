@@ -11,6 +11,7 @@ start-up of its own subcommand: ``theory`` and ``render`` load no scipy.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -161,10 +162,20 @@ def _cmd_theory(args):
     return 0
 
 
+_CLASSES = {"interior": 0.0, "boundary": 1.0}
+
+
 def _load_values_csv(path, n):
-    values = np.full(n, np.nan)
+    """Per-node values from a centrality CSV (node_id,value) or a
+    classification CSV (boundary 1, interior 0).  A bad id, value or class
+    word, or a node given twice, raises FileFormatError at its line."""
+    values = np.full(n, np.nan)  # nan until the node's line is read
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
+
+    def fail(msg, line):
+        raise FileFormatError(msg, line=line, path=path)
+
     for lineno, row in enumerate(lines, start=1):
         s = row.strip()
         if not s or s.startswith("#") or s.startswith("node_id"):
@@ -172,16 +183,26 @@ def _load_values_csv(path, n):
         parts = s.split(",")
         try:
             idx = int(parts[0])
-        except (ValueError, IndexError):
-            raise FileFormatError(f"bad row {row!r}", line=lineno, path=path)
+        except ValueError:
+            fail(f"bad row {row!r}", lineno)
         if not (0 <= idx < n):
-            raise FileFormatError(f"node id {idx} out of range", line=lineno, path=path)
+            fail(f"node id {idx} out of range", lineno)
+        if not math.isnan(values[idx]):
+            fail(f"node id {idx} given twice", lineno)
         if len(parts) == 2:          # centrality: node_id,value
-            values[idx] = float(parts[1])
+            try:
+                value = float(parts[1])
+            except ValueError:
+                fail(f"bad value in row {row!r}", lineno)
+            if not math.isfinite(value):
+                fail(f"non-finite value in row {row!r}", lineno)
         elif len(parts) >= 6:        # classification export
-            values[idx] = 1.0 if parts[5] == "boundary" else 0.0
+            value = _CLASSES.get(parts[5])
+            if value is None:
+                fail(f"unknown classification {parts[5]!r}", lineno)
         else:
-            raise FileFormatError(f"unrecognized row {row!r}", line=lineno, path=path)
+            fail(f"unrecognized row {row!r}", lineno)
+        values[idx] = value
     if np.any(np.isnan(values)):
         missing = int(np.isnan(values).sum())
         raise FileFormatError(f"{missing} node values missing", path=path)

@@ -30,16 +30,24 @@ class SensorNetwork:
     radius : float
     region : PolygonRegion or None
         The sampling region, if known; needed for ground-truth labels.
-    indptr, indices : CSR adjacency (neighbor lists sorted ascending).
+    indptr, indices : CSR adjacency (neighbor lists sorted ascending), int32
+        unless n or 2m exceeds the int32 range (``_index_dtype``).
+
+    ``positions``, ``indptr`` and ``indices`` are read-only views; the
+    arrays passed in stay writeable.  Since the network cannot change,
+    ``centrality.stress1`` keeps its result on it (``_kept_stress1``, None
+    until then), and ``normalized_st`` and ``run_protocol`` read it there.
     """
 
     def __init__(self, positions, radius, indptr, indices, region=None):
         _check_geometry(positions, radius)
-        self.positions = positions
+        dtype = _index_dtype(len(positions), len(indices))
+        self.positions = _read_only(positions)
         self.radius = float(radius)
-        self.indptr = indptr
-        self.indices = indices
+        self.indptr = _read_only(np.asarray(indptr).astype(dtype, copy=False))
+        self.indices = _read_only(np.asarray(indices).astype(dtype, copy=False))
         self.region = region
+        self._kept_stress1 = None
 
     @property
     def n(self):
@@ -50,11 +58,11 @@ class SensorNetwork:
         return np.diff(self.indptr)
 
     def neighbors(self, v):
-        """Sorted neighbor ids of node v (a CSR slice, do not mutate)."""
+        """Sorted neighbor ids of node v (a read-only CSR slice)."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def edges(self):
-        """Edge list as an (m, 2) array with u < v, lexicographically sorted."""
+        """Edge list as an (m, 2) int64 array with u < v, lexicographically sorted."""
         src = np.repeat(np.arange(self.n), self.degrees)
         keep = src < self.indices
         return np.column_stack([src[keep], self.indices[keep]])
@@ -64,17 +72,32 @@ class SensorNetwork:
         return f"SensorNetwork(n={self.n}, m={m}, radius={self.radius})"
 
 
+def _read_only(a):
+    """A read-only view of ``a``; ``a`` itself stays writeable."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
+def _index_dtype(n, nnz):
+    """CSR index dtype for n nodes and nnz stored entries: int32 when every
+    index (below n) and offset (up to nnz) fits, else int64."""
+    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
 def _csr_from_edge_keys(n, key):
-    """Sorted CSR adjacency from int64 keys u * n + v, one per undirected edge.
+    """Sorted CSR adjacency from int64 keys u * n + v, one per undirected edge,
+    in ``_index_dtype``.
 
     With the reversed keys added, sorting the keys puts the rows in order and
     each row's columns in order; the keys mod n are then the indices array.
     """
     key = np.concatenate([key, key % n * n + key // n])
     key.sort()
-    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    dtype = _index_dtype(n, len(key))
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n).astype(dtype)
     np.remainder(key, n, out=key)
-    return indptr, key
+    return indptr, key.astype(dtype, copy=False)
 
 
 def _check_geometry(positions, radius):

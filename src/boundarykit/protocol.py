@@ -193,6 +193,8 @@ def run_protocol(graph, config=None):
 
     ``labels`` is a boolean array, True where the node ends classified as
     boundary.  ``graph`` may be a SensorNetwork or plain adjacency lists.
+    Phase 5 reads the stress1 a network keeps, if ``centrality.stress1``
+    has counted it, and otherwise counts it without keeping it.
     """
     if config is None:
         config = ProtocolConfig()
@@ -278,6 +280,7 @@ def run_protocol(graph, config=None):
 
     # -- phase 4: dhat and T at each root, flooded down the tree
     thresholds = np.zeros(ncomp)
+    sizes = np.bincount(comp, minlength=ncomp)
     for ci in range(ncomp):
         root = int(roots[ci])
         dense = np.zeros(cap + 2, dtype=np.int64)  # the overflow bucket last
@@ -287,7 +290,7 @@ def run_protocol(graph, config=None):
         t_val = max(0.0, config.theta * dhat * (dhat - 1) / 2.0)
         thresholds[ci] = t_val
         trace.components.append(ComponentInfo(
-            root=root, size=int(np.count_nonzero(comp == ci)),
+            root=root, size=int(sizes[ci]),
             dhat=dhat, threshold=t_val,
             histogram={int(k): int(v) for k, v in sorted(hists[root].items())}))
     for senders in np.bincount(level[np.unique(parent[sends])]):
@@ -295,7 +298,9 @@ def run_protocol(graph, config=None):
 
     # -- phase 5: neighbor-list exchange and the local decision
     trace._log_round(5, np.count_nonzero(degs), degs.sum())
-    s1 = _stress1(adj)
+    s1 = getattr(graph, "_kept_stress1", None)
+    if s1 is None:
+        s1 = _stress1(adj)
     declared = s1 <= thresholds[comp]  # degree <= 1 gives stress1 = 0 <= T, boundary
 
     # -- phase 6: decision rule, declaration exchange and neighborhood filter

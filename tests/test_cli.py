@@ -303,6 +303,29 @@ def test_render_count_mismatch(triangle_file, tmp_path):
     assert rc in (1, 2)
 
 
+_CLASS_HEAD = "node_id,x,y,degree,stress1,classification,filtered\n"
+
+
+@pytest.mark.parametrize("option, text, line", [
+    ("--centrality", "node_id,value\n0,1.0\n1,abc\n2,3.0\n", 3),
+    ("--centrality", "node_id,value\n0,1.0\n1,nan\n2,3.0\n", 3),
+    ("--centrality", "0,1.0\n1,inf\n2,3.0\n", 2),
+    ("--centrality", "node_id,value\n0,1.0\n1,2.0\n1,2.5\n2,3.0\n", 4),
+    ("--classification", _CLASS_HEAD + "0,0.0,0.0,2,0,boundary,0\n"
+     "1,1.0,0.0,2,0,edge,0\n2,0.5,0.5,2,0,interior,0\n", 3),
+    ("--classification", _CLASS_HEAD + "0,0.0,0.0,2,0,boundary,0\n"
+     "0,0.0,0.0,2,0,interior,0\n", 3),
+])
+def test_render_bad_values_exit_2_at_line(triangle_file, tmp_path, capsys, option, text, line):
+    vals = tmp_path / "v.csv"
+    vals.write_text(text)
+    rc = main(["render", "--network", str(triangle_file),
+               option, str(vals), "--out", str(tmp_path / "o.svg")])
+    assert rc == 2
+    assert f"v.csv:line {line}: " in capsys.readouterr().err
+    assert not (tmp_path / "o.svg").exists()
+
+
 def test_render_sources_exclusive(triangle_file, tmp_path):
     rc = main(["render", "--network", str(triangle_file),
                "--centrality", "a.csv", "--classification", "b.csv",

@@ -313,7 +313,8 @@ def test_load_network_accepts(tmp_path, text):
     assert net.positions.dtype == np.float64
     assert net.positions.tobytes() == pos.tobytes()
     assert net.edges().tolist() == [list(e) for e in edges]
-    assert net.indptr.dtype == net.indices.dtype == np.int64
+    assert net.indptr.dtype == net.indices.dtype == netgen._index_dtype(net.n, len(net.indices))
+    assert net.indices.dtype == np.int32
 
 
 def test_clean_file_skips_line_scan(tmp_path, monkeypatch):
@@ -419,6 +420,36 @@ def test_load_network_matches_line_reader(tmp_path_factory, case, block):
         assert np.array_equal(got.indices, net.indices)
         assert got.indptr.dtype == net.indptr.dtype
         assert got.indices.dtype == net.indices.dtype
+
+
+def test_index_dtype_past_int32():
+    top = np.iinfo(np.int32).max
+    assert netgen._index_dtype(top, top) is np.int32
+    assert netgen._index_dtype(10, top + 1) is np.int64
+    assert netgen._index_dtype(top + 1, 0) is np.int64
+
+
+def test_network_arrays_int32(tmp_path):
+    net = bk.build_network(bk.square_with_hole(6.0, 2.0), 300, 1.0, seed=4)
+    p = tmp_path / "net.txt"
+    bk.save_network(net, p)
+    for got in (net, bk.load_network(p)):
+        assert got.indptr.dtype == got.indices.dtype == np.int32
+    assert bk.SensorNetwork(net.positions, 1.0, net.indptr.astype(np.int64),
+                            net.indices.astype(np.int64)).indices.dtype == np.int32
+    assert net.edges().dtype == np.int64
+
+
+def test_network_arrays_read_only():
+    pos = np.array([(0.0, 0.0), (0.5, 0.0), (2.0, 0.0)])
+    indptr, indices = bk.adjacency_from_positions(pos, 1.0)
+    net = bk.SensorNetwork(pos, 1.0, indptr, indices)
+    for view, base in ((net.positions, pos), (net.indptr, indptr), (net.indices, indices)):
+        with pytest.raises(ValueError):
+            view[0] = 1
+        base[0] = 1  # the caller's array stays writeable
+    with pytest.raises(ValueError):
+        net.neighbors(0)[0] = 2
 
 
 def test_load_network_error_carries_line(tmp_path):

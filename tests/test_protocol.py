@@ -3,10 +3,13 @@
 import math
 from collections import Counter
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import boundarykit as bk
+from boundarykit import centrality, protocol
 
 TRIANGLE = [[1, 2], [0, 2], [0, 1]]
 STAR3 = [[1, 2, 3], [0], [0], [0]]
@@ -165,6 +168,19 @@ def test_multi_component():
         assert (labels == boundary).all()
 
 
+def test_component_sizes_many_isolated_nodes():
+    # 400 isolated nodes 2 apart on a line, then a cluster of 30 nodes
+    rng = np.random.default_rng(8)
+    lone = np.column_stack([2.0 * np.arange(400), np.zeros(400)])
+    cluster = rng.uniform(0.0, 0.5, (30, 2)) + (400.0, 5.0)
+    pos = np.concatenate([lone, cluster])
+    net = bk.SensorNetwork(pos, 1.0, *bk.adjacency_from_positions(pos, 1.0))
+    labels, trace = default_run(net)
+    sizes = [c.size for c in trace.components]
+    assert sizes == np.bincount(trace.component_id).tolist()
+    assert len(sizes) == 401 and sizes[-1] == 30
+
+
 def test_phase1_rounds_match_flooding_reference():
     # min-id flooding node by node: a node whose id estimate fell in the
     # last round sends it to every neighbor
@@ -290,6 +306,54 @@ def test_stress1_matches_centralized():
         net = network(seed, n=250, r=0.9)
         labels, trace = default_run(net)
         assert np.array_equal(trace.stress1, bk.stress1(net))
+
+
+def test_stress1_counted_once_per_network(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return kernel(a)
+
+    kernel = centrality._stress1
+    monkeypatch.setattr(centrality, "_stress1", counted)
+    monkeypatch.setattr(protocol, "_stress1", counted)
+
+    net = network(5, n=300)
+    st = bk.normalized_st(net)
+    labels, trace = default_run(net)
+    s1 = bk.stress1(net)
+    assert len(calls) == 1
+    assert s1.dtype == np.int64 and not s1.flags.writeable
+    with pytest.raises(ValueError):
+        s1[0] = 0
+
+    # run_protocol keeps nothing, so stress1 counts again
+    calls.clear()
+    fresh = network(5, n=300)
+    labels_fresh, trace_fresh = default_run(fresh)
+    assert np.array_equal(bk.stress1(fresh), s1)
+    assert len(calls) == 2
+    st_fresh = bk.normalized_st(fresh)
+
+    # adjacency lists are counted on every call
+    calls.clear()
+    lists = [list(fresh.neighbors(v)) for v in range(fresh.n)]
+    bk.stress1(lists)
+    bk.stress1(lists)
+    bk.normalized_st(lists)
+    assert len(calls) == 3
+
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    assert same(st, st_fresh) and same(labels, labels_fresh)
+    for f in dataclasses.fields(protocol.ProtocolTrace):
+        got, want = getattr(trace, f.name), getattr(trace_fresh, f.name)
+        if isinstance(want, np.ndarray):
+            assert same(got, want), f.name
+        else:
+            assert got == want, f.name
 
 
 def test_declarations_follow_local_rule():
