@@ -1,5 +1,7 @@
 """Centrality indices against hand-worked cases and brute-force oracles."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -221,6 +223,39 @@ def test_permutation_invariance():
     for fn in (bk.stress_centrality, bk.stress1):
         base = fn(adj)
         assert np.array_equal(fn(padj)[perm], base)
+
+
+def test_relabelling_leaves_path_measures_unchanged(monkeypatch):
+    # the kernel runs in reverse Cuthill-McKee order and maps results back,
+    # so a relabelled graph gives the relabelled results, over several
+    # components and isolated nodes
+    adj = _pieces() + [[], []]
+    n = len(adj)
+    perm = np.random.default_rng(8).permutation(n)
+    padj = [[] for _ in range(n)]
+    for v, nb in enumerate(adj):
+        padj[perm[v]] = sorted(int(perm[w]) for w in nb)
+    order, _, _ = centrality._rcm_csr(*centrality.as_csr(padj))
+    assert not np.array_equal(order, np.arange(n))
+
+    measures = {"stress": bk.stress_centrality, "betweenness": bk.betweenness_centrality,
+                **{f"rstress{d}": partial(bk.restricted_stress, delta=d) for d in (1, 2)}}
+    for name, fn in measures.items():
+        base = fn(adj)
+        if name == "betweenness":
+            np.testing.assert_allclose(fn(padj)[perm], base, rtol=1e-12)
+        else:
+            assert np.array_equal(fn(padj)[perm], base), name
+
+    # several blocks, so the workers share them; the sums stay bitwise equal
+    monkeypatch.setattr(centrality, "_ENTRY_BUDGET", 2 * n)
+    runs = {}
+    for w in (1, 2, 4):
+        monkeypatch.setenv(centrality.WORKERS_ENV, str(w))
+        runs[w] = {name: fn(padj) for name, fn in measures.items()}
+    for w in (2, 4):
+        for name, values in runs[w].items():
+            assert values.tobytes() == runs[1][name].tobytes(), (w, name)
 
 
 # -- exact path counts -------------------------------------------------------
@@ -450,3 +485,19 @@ def test_works_on_sensor_network():
     adj = [list(net.neighbors(v)) for v in range(net.n)]
     assert np.array_equal(bk.stress1(net), oracles.brute_stress1(adj))
     assert np.array_equal(bk.stress_centrality(net), bk.stress_centrality(adj))
+
+
+def test_normalized_st_converts_lists_once(monkeypatch):
+    net = bk.build_network(bk.square_with_hole(6.0, 2.0), 300, 1.0, seed=3)
+    lists = [list(net.neighbors(v)) for v in range(net.n)]
+    calls = []
+    convert = centrality.as_csr
+
+    def counted(graph):
+        calls.append(graph)
+        return convert(graph)
+
+    monkeypatch.setattr(centrality, "as_csr", counted)
+    got, want = bk.normalized_st(lists), bk.normalized_st(net)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert sum(g is lists for g in calls) == 1

@@ -370,6 +370,8 @@ def test_cli_imports_only_what_it_runs(tmp_path, modules_after):
                          "--out", "st.csv")
     assert "scipy.sparse" in loaded
     assert not {m for m in loaded if m.startswith("scipy.spatial")}
+    # nor csgraph, which only the path measures import
+    assert not {m for m in loaded if m.startswith("scipy.sparse.csgraph")}
     # theory and render need numpy only
     assert scipy_after("theory", "sigma") == set()
     assert scipy_after("theory", "dist", "--s", "0", "--mu", "20", "--samples", "500",
