@@ -441,9 +441,9 @@ class CentralityResult:
             extra = "".join(f" {k}={v}" for k, v in sorted(self.params.items()))
             fh.write(f"# measure={self.measure}{extra}\n")
             fh.write("node_id,value\n")
-            for i, val in enumerate(self.values):
-                sval = repr(float(val)) if self.values.dtype.kind == "f" else str(int(val))
-                fh.write(f"{i},{sval}\n")
+            values = self.values.tolist()  # Python floats, whose repr round-trips
+            text = map(repr, values) if self.values.dtype.kind == "f" else map(str, map(int, values))
+            fh.writelines(f"{i},{v}\n" for i, v in enumerate(text))
 
 
 def compute(graph, measure, k=None, delta=None, workers=None):

@@ -27,18 +27,21 @@ abstract payload units (1 unit = one id, level, count, or threshold):
 
 The simulation is a pure function of the network and configuration.
 Disconnected networks are processed per component (each gets its own root,
-histogram and threshold); the trace flags this.
+histogram and threshold); the trace flags this.  A round's numpy work
+follows what is sent in it, and no phase loops over nodes in Python: a
+flooding round pushes its senders' ids over their CSR rows only, and the
+convergecast merges the histograms of one BFS level at a time, deepest
+first, as sorted (node, bucket) entries.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csgraph
 
-from .centrality import _adjacency, _stress1, as_csr, st_from_stress1
+from .centrality import _adjacency, _blocks, _stress1, as_csr, st_from_stress1
 from .theory import clipped_disk_area, neighborhood_st, sigma_interior
 
 RULES = ("core", "one-hop")
@@ -46,6 +49,10 @@ RULES = ("core", "one-hop")
 # declares when its closed neighborhood holds at least _CORE_COUNT cores
 _CORE_DEPTH = 0.25
 _CORE_COUNT = 3
+# phase 1 pushes at most this many messages at a time, so that a round's
+# temporaries stay small whatever the number of edges; of the powers of two
+# timed at 20k nodes and degree 100, this one ran fastest
+_PUSH_BUDGET = 1 << 16
 
 
 def classify_local(stress1_value, threshold):
@@ -188,6 +195,93 @@ def _smoothed_mode(dense, window):
     return int(tied[np.argmax(dense[tied])])
 
 
+def _distinct(a):
+    """The distinct values of ``a`` in order.  Sorting finds them several
+    times faster than the hash table that plain ``np.unique`` uses."""
+    a = np.sort(a)
+    return a[np.diff(a, prepend=-1) != 0]
+
+
+def _tree_phases(indptr, indices, adj, roots, participating, cap, trace):
+    """Phases 1-3 on the CSR graph and its scipy adjacency ``adj``: min-id
+    flooding among the ``participating`` nodes, the BFS tree from ``roots``
+    and the convergecast of degree histograms, degrees above ``cap`` in the
+    bucket cap + 1.  Logs their rounds on ``trace``; returns (level, parent,
+    histograms), ``histograms[c]`` the {degree bucket: count} merged at
+    ``roots[c]``, in bucket order.  Each round's work follows its messages.
+    """
+    n = len(indptr) - 1
+    degs = np.diff(indptr)
+    has_nbrs = degs > 0
+
+    # -- phase 1: min-id flooding.  A node whose id estimate fell sends it
+    # to its neighbors, its CSR row as the adjacency is symmetric; the rows
+    # of a round's senders are pushed in blocks of _PUSH_BUDGET messages.
+    best = np.arange(n, dtype=indices.dtype)
+    senders = np.flatnonzero(participating & has_nbrs)
+    while len(senders):
+        trace._log_round(1, len(senders), len(senders))
+        sent = best[senders]  # the estimates as they stood at the round's start
+        start, deg = indptr[senders], degs[senders]
+        fell = []
+        for lo, hi in _blocks(deg, _PUSH_BUDGET):
+            d = deg[lo:hi]
+            at = np.repeat(start[lo:hi] - np.cumsum(d, dtype=d.dtype) + d, d)
+            at += np.arange(len(at), dtype=at.dtype)
+            to, ids = indices[at], np.repeat(sent[lo:hi], d)
+            lower = np.flatnonzero(ids < best[to])
+            to = to[lower]
+            np.minimum.at(best, to, ids[lower])
+            fell.append(_distinct(to))
+        senders = _distinct(np.concatenate(fell))
+
+    # -- phase 2: BFS tree.  Each level announces in one round, roots with
+    # (level) and everyone else with (level, parent), hence payloads 1 and 2;
+    # a node's parent is its smallest neighbor one level up.  The weights
+    # are ones, so distances are hop counts (unweighted=True copies them).
+    level = csgraph.dijkstra(adj, indices=roots, min_only=True).astype(np.int64)
+    for depth, senders in enumerate(np.bincount(level[has_nbrs])):
+        trace._log_round(2, senders, (1 if depth == 0 else 2) * senders)
+    # the lowest (level, id) place in a row is the smallest neighbor one level up
+    order = np.argsort(level, kind="stable")
+    place = np.empty(n, dtype=np.int32)
+    place[order] = np.arange(n, dtype=np.int32)
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[has_nbrs] = order[np.minimum.reduceat(place[indices], indptr[:-1][has_nbrs])]
+    parent[roots] = -1
+
+    # -- phase 3: convergecast of sparse degree histograms, one BFS level at
+    # a time from the deepest.  A level's histograms are sorted entries
+    # (node * width + bucket, count): its nodes' own one-hot entries merged
+    # with those their children sent, which then go to the parents.  A node
+    # sends in the round of its subtree height, and k buckets cost 2k units.
+    width = cap + 2
+    bucket = np.minimum(degs, cap + 1)
+    height = np.ones(n, dtype=np.int64)
+    size = np.zeros(n, dtype=np.int64)  # buckets in each node's histogram
+    codes, counts = np.empty(0, dtype=np.int64), np.empty(0)
+    by_level = np.split(order, np.cumsum(np.bincount(level))[:-1])
+    for depth in range(len(by_level) - 1, -1, -1):
+        nodes = by_level[depth]
+        codes, at = np.unique(np.concatenate([codes, nodes * width + bucket[nodes]]),
+                              return_inverse=True)
+        counts = np.bincount(at, np.concatenate([counts, np.ones(len(nodes))]))
+        owner = codes // width
+        np.add.at(size, owner, 1)
+        if depth:
+            np.maximum.at(height, parent[nodes], height[nodes] + 1)
+            codes = parent[owner] * width + codes % width
+    sends = parent >= 0
+    for senders, payload in zip(np.bincount(height[sends]),
+                                np.bincount(height[sends], 2 * size[sends])):
+        trace._log_round(3, senders, payload)
+
+    # the roots are the level-0 nodes, so the entries left are their histograms
+    keys, counts = (codes % width).tolist(), counts.astype(np.int64).tolist()
+    ends = np.searchsorted(codes, np.stack([roots, roots + 1]) * width).tolist()
+    return level, parent, [dict(zip(keys[lo:hi], counts[lo:hi])) for lo, hi in zip(*ends)]
+
+
 def run_protocol(graph, config=None):
     """Simulate the protocol; returns (labels, trace).
 
@@ -220,80 +314,25 @@ def run_protocol(graph, config=None):
             raise ValueError(f"explicit root {config.root} is not a node id")
         roots[comp[config.root]] = config.root
 
-    # -- phase 1: min-id flooding (skipped for an explicitly rooted component)
-    participating = np.ones(n, dtype=bool)
+    participating = np.ones(n, dtype=bool)  # phase 1 skips an explicitly rooted component
     if config.root is not None:
         participating = comp != comp[config.root]
-    best = np.arange(n, dtype=np.int32)  # int32 halves the per-edge gather below
-    active = participating.copy()
-    has_nbrs = degs > 0
-    while True:
-        senders = np.nonzero(active & has_nbrs)[0]
-        if len(senders) == 0:
-            break
-        trace._log_round(1, len(senders), len(senders))
-        # a node hears the ids of its active neighbors: its CSR row, as the
-        # adjacency is symmetric
-        snapshot = best.copy()
-        heard = np.minimum.reduceat(np.where(active, snapshot, n)[indices],
-                                    indptr[:-1][has_nbrs])
-        best[has_nbrs] = np.minimum(best[has_nbrs], heard)
-        active = best < snapshot
-
-    # -- phase 2: BFS tree.  Each level announces in one round, roots with
-    # (level) and everyone else with (level, parent), hence payloads 1 and 2;
-    # a node's parent is its smallest neighbor one level up.  The weights
-    # are ones, so distances are hop counts (unweighted=True copies them).
-    level = csgraph.dijkstra(adj, indices=roots, min_only=True).astype(np.int64)
-    for depth, senders in enumerate(np.bincount(level[has_nbrs])):
-        trace._log_round(2, senders, (1 if depth == 0 else 2) * senders)
-    # the lowest (level, id) place in a row is the smallest neighbor one level up
-    order = np.argsort(level, kind="stable")
-    place = np.empty(n, dtype=np.int32)
-    place[order] = np.arange(n, dtype=np.int32)
-    parent = np.full(n, -1, dtype=np.int64)
-    parent[has_nbrs] = order[np.minimum.reduceat(place[indices], indptr[:-1][has_nbrs])]
-    parent[roots] = -1
-
-    sends = parent >= 0  # every node but the roots sends up the tree
-    children = [[] for _ in range(n)]
-    for v in np.flatnonzero(sends):
-        children[parent[v]].append(v)
-
-    # -- phase 3: convergecast of sparse degree histograms
     cap = config.degree_cap
-    overflow_key = cap + 1
-    height = np.ones(n, dtype=np.int64)
-    for v in order[::-1]:  # deepest levels first
-        if sends[v]:
-            height[parent[v]] = max(height[parent[v]], height[v] + 1)
-    hists = [None] * n
-    for v in np.argsort(height, kind="stable"):  # leaves upward
-        h = Counter({min(int(degs[v]), cap) if degs[v] <= cap else overflow_key: 1})
-        for c in children[v]:
-            h.update(hists[c])
-        hists[v] = h
-    # one round per height; a histogram of k buckets costs 2k units
-    payloads = np.bincount(height[sends], [2 * len(hists[v]) for v in np.flatnonzero(sends)])
-    for senders, payload in zip(np.bincount(height[sends]), payloads):
-        trace._log_round(3, senders, payload)
+    level, parent, histograms = _tree_phases(indptr, indices, adj, roots, participating,
+                                             cap, trace)
 
     # -- phase 4: dhat and T at each root, flooded down the tree
     thresholds = np.zeros(ncomp)
     sizes = np.bincount(comp, minlength=ncomp)
-    for ci in range(ncomp):
-        root = int(roots[ci])
+    for ci, (root, hist) in enumerate(zip(roots.tolist(), histograms)):
         dense = np.zeros(cap + 2, dtype=np.int64)  # the overflow bucket last
-        for key, cnt in hists[root].items():
-            dense[key] = cnt
+        dense[list(hist)] = list(hist.values())
         dhat = _smoothed_mode(dense, config.smoothing_window)
         t_val = max(0.0, config.theta * dhat * (dhat - 1) / 2.0)
         thresholds[ci] = t_val
         trace.components.append(ComponentInfo(
-            root=root, size=int(sizes[ci]),
-            dhat=dhat, threshold=t_val,
-            histogram={int(k): int(v) for k, v in sorted(hists[root].items())}))
-    for senders in np.bincount(level[np.unique(parent[sends])]):
+            root=root, size=int(sizes[ci]), dhat=dhat, threshold=t_val, histogram=hist))
+    for senders in np.bincount(level[np.unique(parent[parent >= 0])]):
         trace._log_round(4, senders, 2 * senders)
 
     # -- phase 5: neighbor-list exchange and the local decision
@@ -410,13 +449,13 @@ def message_accounting(trace):
 
 def classification_to_csv(network, trace, path):
     """Per-node export: node_id,x,y,degree,stress1,classification,filtered."""
+    rows = zip(range(trace.n), network.positions[:, 0].tolist(),
+               network.positions[:, 1].tolist(), trace.degrees.tolist(),
+               trace.stress1.tolist(), np.where(trace.labels, "boundary", "interior").tolist(),
+               trace.filtered.astype(np.int8).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("node_id,x,y,degree,stress1,classification,filtered\n")
-        for v in range(trace.n):
-            x, y = network.positions[v]
-            cls = "boundary" if trace.labels[v] else "interior"
-            fh.write(f"{v},{float(x)!r},{float(y)!r},{int(trace.degrees[v])},"
-                     f"{int(trace.stress1[v])},{cls},{int(trace.filtered[v])}\n")
+        fh.writelines(f"{v},{x!r},{y!r},{d},{s},{c},{f}\n" for v, x, y, d, s, c, f in rows)
 
 
 def trace_to_csv(trace, path):

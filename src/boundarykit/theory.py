@@ -81,9 +81,18 @@ def clipped_disk_area(s):
     return float(np.pi - (np.arccos(s) - s * np.sqrt(1.0 - s * s)))
 
 
+@lru_cache(maxsize=1)
+def _legendre():
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only.  They solve an
+    eigenproblem, which took more than half of an ``st_dense`` call."""
+    x, w = np.polynomial.legendre.leggauss(_QUAD)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss(lo, hi):
     """Gauss-Legendre nodes and weights on [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(_QUAD)
+    x, w = _legendre()
     return lo + (hi - lo) * (x + 1.0) / 2.0, w * (hi - lo) / 2.0
 
 

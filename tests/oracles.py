@@ -3,14 +3,16 @@
 Everything in here is written for clarity, not speed: Floyd-Warshall hop
 distances, explicit enumeration of all shortest paths, O(n^2) adjacency.
 None of it shares code with boundarykit internals, except the st sampler
-references, which call ``clipped_disk_area`` as the sampler did.
+references, which call ``clipped_disk_area`` as the sampler did, and the
+protocol reference, which logs rounds on the trace it is given.
 """
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import csgraph
 
 from boundarykit.errors import FileFormatError
 from boundarykit.theory import clipped_disk_area
@@ -403,3 +405,76 @@ def load_network_lines(path):
     if len(set(edges)) != len(edges):
         fail("duplicate edge in file", len(lines))
     return radius, pos, sorted(edges)
+
+
+# ---------------------------------------------------------------------------
+# protocol phases 1-3
+#
+# Min-id flooding, the BFS tree and the convergecast of degree histograms as
+# ``run_protocol`` ran them before their rewrite, kept unchanged: one
+# gather over every edge per flooding round, and Counter histograms merged
+# node by node.  The signature is that of ``protocol._tree_phases``, so a
+# test can run the whole protocol on top of it.
+
+
+def protocol_tree_phases(indptr, indices, adj, roots, participating, cap, trace):
+    """Phases 1-3, node by node: (level, parent, root histograms)."""
+    n = len(indptr) - 1
+    degs = np.diff(indptr)
+
+    # -- phase 1: min-id flooding (skipped for an explicitly rooted component)
+    best = np.arange(n, dtype=np.int32)  # int32 halves the per-edge gather below
+    active = participating.copy()
+    has_nbrs = degs > 0
+    while True:
+        senders = np.nonzero(active & has_nbrs)[0]
+        if len(senders) == 0:
+            break
+        trace._log_round(1, len(senders), len(senders))
+        # a node hears the ids of its active neighbors: its CSR row, as the
+        # adjacency is symmetric
+        snapshot = best.copy()
+        heard = np.minimum.reduceat(np.where(active, snapshot, n)[indices],
+                                    indptr[:-1][has_nbrs])
+        best[has_nbrs] = np.minimum(best[has_nbrs], heard)
+        active = best < snapshot
+
+    # -- phase 2: BFS tree.  Each level announces in one round, roots with
+    # (level) and everyone else with (level, parent), hence payloads 1 and 2;
+    # a node's parent is its smallest neighbor one level up.  The weights
+    # are ones, so distances are hop counts (unweighted=True copies them).
+    level = csgraph.dijkstra(adj, indices=roots, min_only=True).astype(np.int64)
+    for depth, senders in enumerate(np.bincount(level[has_nbrs])):
+        trace._log_round(2, senders, (1 if depth == 0 else 2) * senders)
+    # the lowest (level, id) place in a row is the smallest neighbor one level up
+    order = np.argsort(level, kind="stable")
+    place = np.empty(n, dtype=np.int32)
+    place[order] = np.arange(n, dtype=np.int32)
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[has_nbrs] = order[np.minimum.reduceat(place[indices], indptr[:-1][has_nbrs])]
+    parent[roots] = -1
+
+    sends = parent >= 0  # every node but the roots sends up the tree
+    children = [[] for _ in range(n)]
+    for v in np.flatnonzero(sends):
+        children[parent[v]].append(v)
+
+    # -- phase 3: convergecast of sparse degree histograms
+    overflow_key = cap + 1
+    height = np.ones(n, dtype=np.int64)
+    for v in order[::-1]:  # deepest levels first
+        if sends[v]:
+            height[parent[v]] = max(height[parent[v]], height[v] + 1)
+    hists = [None] * n
+    for v in np.argsort(height, kind="stable"):  # leaves upward
+        h = Counter({min(int(degs[v]), cap) if degs[v] <= cap else overflow_key: 1})
+        for c in children[v]:
+            h.update(hists[c])
+        hists[v] = h
+    # one round per height; a histogram of k buckets costs 2k units
+    payloads = np.bincount(height[sends], [2 * len(hists[v]) for v in np.flatnonzero(sends)])
+    for senders, payload in zip(np.bincount(height[sends]), payloads):
+        trace._log_round(3, senders, payload)
+
+
+    return level, parent, [{int(k): int(v) for k, v in sorted(hists[r].items())} for r in roots]

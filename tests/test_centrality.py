@@ -476,7 +476,11 @@ def test_result_csv_round_trip(tmp_path):
     assert "measure=st" in lines[0]
     assert lines[1] == "node_id,value"
     got = [float(l.split(",")[1]) for l in lines[2:]]
-    assert got == pytest.approx(res.values.tolist())
+    assert got == res.values.tolist()  # repr round-trips every float
+    res = bk.compute(WHEEL4, "khop", k=1)
+    res.to_csv(p)
+    assert p.read_text().splitlines()[1:] == ["node_id,value"] + [
+        f"{i},{int(v)}" for i, v in enumerate(res.values)]
 
 
 def test_works_on_sensor_network():

@@ -11,12 +11,28 @@ import pytest
 import boundarykit as bk
 from boundarykit import centrality, protocol
 
+import oracles
+
 TRIANGLE = [[1, 2], [0, 2], [0, 1]]
 STAR3 = [[1, 2, 3], [0], [0], [0]]
 
 
 def default_run(adj, **kw):
     return bk.run_protocol(adj, bk.ProtocolConfig(**kw))
+
+
+def same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_trace(got, want):
+    """Every field of two traces equal, arrays in dtype, shape and bytes."""
+    for f in dataclasses.fields(protocol.ProtocolTrace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert same(a, b), f.name
+        else:
+            assert a == b, f.name
 
 
 # -- local rule --------------------------------------------------------------
@@ -280,6 +296,66 @@ def test_phase3_convergecast_matches_reference():
     assert trace.multi_component
 
 
+def reference_run(graph, monkeypatch, **kw):
+    """run_protocol with phases 1-3 as they ran before their rewrite."""
+    with monkeypatch.context() as m:
+        m.setattr(protocol, "_tree_phases", oracles.protocol_tree_phases)
+        return default_run(graph, **kw)
+
+
+def assert_matches_reference(graph, monkeypatch, **kw):
+    labels, trace = default_run(graph, **kw)
+    ref_labels, ref = reference_run(graph, monkeypatch, **kw)
+    assert same(labels, ref_labels)
+    assert_same_trace(trace, ref)
+    return trace
+
+
+@pytest.mark.parametrize("budget", [protocol._PUSH_BUDGET, 40])
+@pytest.mark.parametrize("rule", protocol.RULES)
+def test_tree_phases_match_reference(rule, budget, monkeypatch):
+    # sparse unit-disk networks of several components and isolated nodes,
+    # under the min-id election, with an explicit root outside the component
+    # of node 0, and with a degree cap that fills the overflow bucket; the
+    # small budget splits flooding rounds into many blocks
+    monkeypatch.setattr(protocol, "_PUSH_BUDGET", budget)
+    for seed in (8, 9, 10):
+        net = network(seed, n=200, r=0.6)
+        assert np.any(net.degrees == 0)
+        trace = assert_matches_reference(net, monkeypatch, rule=rule)
+        assert trace.multi_component
+        comp = trace.component_id
+        other = 1 + np.argmax(np.bincount(comp)[1:])  # the largest but node 0's
+        root = int(np.flatnonzero(comp == other)[-1])
+        assert np.count_nonzero(comp == other) > 1 and root != trace.components[other].root
+        trace = assert_matches_reference(net, monkeypatch, rule=rule, root=root)
+        assert trace.components[other].root == root
+        trace = assert_matches_reference(net, monkeypatch, rule=rule, root=root, degree_cap=3)
+        assert any(4 in c.histogram for c in trace.components)
+
+
+def path_graph(ids):
+    adj = [[] for _ in ids]
+    for a, b in zip(ids, ids[1:]):
+        adj[a].append(int(b))
+        adj[b].append(int(a))
+    return [sorted(a) for a in adj]
+
+
+def test_deep_trees_match_reference(monkeypatch):
+    # a 3,000-node path with its ids in order (the minimum floods for n - 1
+    # rounds, n^2 / 2 messages) and shuffled, and a thin corridor: hundreds
+    # to thousands of rounds and BFS levels, each holding a few nodes
+    corridor = bk.build_network(bk.PolygonRegion([(0, 0), (150, 0), (150, 0.5), (0, 0.5)]),
+                                3000, 1.0, seed=17)
+    shuffled = np.random.default_rng(3).permutation(3000)
+    for graph, depth in ((path_graph(range(3000)), 2999), (path_graph(shuffled), 1500),
+                         (corridor, 100)):
+        trace = assert_matches_reference(graph, monkeypatch)
+        assert trace.level.max() >= depth
+        assert not trace.multi_component
+
+
 def test_explicit_root():
     net = network(4)
     labels, trace = default_run(net, root=25)
@@ -344,16 +420,8 @@ def test_stress1_counted_once_per_network(monkeypatch):
     bk.normalized_st(lists)
     assert len(calls) == 3
 
-    def same(a, b):
-        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
     assert same(st, st_fresh) and same(labels, labels_fresh)
-    for f in dataclasses.fields(protocol.ProtocolTrace):
-        got, want = getattr(trace, f.name), getattr(trace_fresh, f.name)
-        if isinstance(want, np.ndarray):
-            assert same(got, want), f.name
-        else:
-            assert got == want, f.name
+    assert_same_trace(trace, trace_fresh)
 
 
 def test_declarations_follow_local_rule():
@@ -555,6 +623,11 @@ def test_classification_csv(tmp_path):
     assert int(row[0]) == 0
     assert float(row[1]) == net.positions[0, 0]
     assert row[5] in ("boundary", "interior")
+    # one row at a time, as the writer once formatted them
+    assert lines[1:] == [
+        f"{v},{float(x)!r},{float(y)!r},{int(trace.degrees[v])},{int(trace.stress1[v])},"
+        f"{'boundary' if trace.labels[v] else 'interior'},{int(trace.filtered[v])}"
+        for v, (x, y) in enumerate(net.positions)]
 
 
 def test_node_state_accessor():
