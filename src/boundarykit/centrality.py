@@ -12,10 +12,13 @@ algorithm as sparse products: blocks of sources walk forward one BFS level
 per product with the adjacency, then sum dependencies back up.  Each source
 owns one flat slot per node of its component, so a level is the entries of
 its product whose slot no earlier level reached, and the backward pass reads
-each product at a level's slots: a level costs one product and one matrix
-build either way.  The kernel runs on the graph relabelled in reverse
-Cuthill-McKee order, which gives neighbours nearby ids and so makes the
-products faster, and maps each result back to the caller's ids.  A block
+each product at a level's slots.  A product is scipy's numeric SpGEMM pass
+alone, without the symbolic pass that sizes its output: it writes into
+buffers that the block's slots bound, allocated once per block, and levels
+are plain (indptr, indices, data) triples, so a level costs one product and
+no matrix build either way.  The kernel runs on the graph relabelled in
+reverse Cuthill-McKee order, which gives neighbours nearby ids and so makes
+the products faster, and maps each result back to the caller's ids.  A block
 holds sources whose component sizes sum to at most ``_ENTRY_BUDGET``, which
 bounds its memory whatever n is.  Blocks run on ``workers`` threads and are
 summed in block order, so results do not depend on the worker count.
@@ -32,6 +35,9 @@ from functools import partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
+# scipy's numeric SpGEMM pass, without the symbolic pass and the checks that
+# `x @ a` adds; a private function, verified on scipy 1.17.1
+from scipy.sparse._sparsetools import csr_matmat
 
 # the thread-count helpers live in a scipy-free module, so that theory can use
 # them; callers of the path measures import them from here
@@ -42,9 +48,10 @@ from .netgen import SensorNetwork, _index_dtype
 # stress1 takes rows in blocks whose neighbors' degrees sum to about this
 _GATHER_BUDGET = 1 << 22
 # the path measures and khop take sources in blocks that keep at most this
-# many (source, node) entries; larger blocks spend less CPU per source on
-# building matrices but hold more memory per worker, and this size was picked
-# from the peak RSS measured on 1.5k-node networks
+# many (source, node) entries, which also bounds a path-kernel block's product
+# buffers; larger blocks spend less CPU per source on each product but hold
+# more memory per worker, and this size was picked from the peak RSS measured
+# on 1.5k-node networks
 _ENTRY_BUDGET = 3 << 14
 _INT64_END = 1 << 63
 _LOW32 = (1 << 32) - 1
@@ -111,10 +118,6 @@ def _blocks(work, budget):
     return blocks
 
 
-def _like(m, data):
-    return sp.csr_array((data, m.indices, m.indptr), shape=m.shape)
-
-
 def _add(x, y):
     """x + y for nonnegative x and y; an int64 entry that wraps reads negative."""
     z = x + y
@@ -123,25 +126,44 @@ def _add(x, y):
     return z
 
 
-def _product(x, a):
-    """x @ a for nonnegative x, raising NumericalError on a non-finite float
-    or inexact int64 entry.  When max(x) * n (n bounds every degree) reaches
-    2**63, x's 32-bit halves are summed apart; hi + (lo >> 32) counts the
+def _matmat(x, a, out):
+    """x @ a for an (indptr, indices, data) triple x, written into the
+    triple of buffers ``out``; returns the product as a triple of views."""
+    indptr, indices, data = out
+    # csr_matmat checks no bounds, so this is the only guard: a row of x is
+    # one source's and holds nodes of its component, so the same row of x @ a
+    # holds neighbours of those, none if the source is isolated, and
+    # csr_matmat stores each column at most once per row; the product thus
+    # fits the buffers that _Slots sizes by the components
+    csr_matmat(len(indptr) - 1, a.shape[1], *x, a.indptr, a.indices, a.data, *out)
+    nnz = indptr[-1]
+    return indptr, indices[:nnz], data[:nnz]
+
+
+def _product(x, a, slots):
+    """x @ a for a nonnegative triple x, in the block's buffers, raising
+    NumericalError on a non-finite float or inexact int64 entry.  When
+    max(x) * n (n bounds every degree) reaches 2**63, x's 32-bit halves are
+    multiplied apart; hi + (lo >> 32), added at each entry's slot, counts the
     whole 2**32 units of each exact entry."""
-    y = x @ a
-    if x.dtype.kind == "f" and not np.isfinite(y.data).all():
-        raise NumericalError("shortest-path counts overflow float64")
-    if x.dtype.kind == "i" and x.nnz and int(x.data.max()) * a.shape[0] >= _INT64_END:
-        hi, lo = _like(x, x.data >> 32) @ a, _like(x, x.data & _LOW32) @ a
-        lo.data >>= 32
-        if (hi + lo).max() >= 1 << 31:
+    indptr, indices, data = x
+    if data.dtype.kind == "i" and len(data) and int(data.max()) * a.shape[0] >= _INT64_END:
+        units = np.zeros(slots.len, dtype=np.int64)
+        hi = _matmat((indptr, indices, data >> 32), a, slots.out)
+        units[slots(hi)] = hi[2]
+        lo = _matmat((indptr, indices, data & _LOW32), a, slots.out)
+        units[slots(lo)] += lo[2] >> 32
+        if units.max() >= 1 << 31:
             raise NumericalError(_OVERFLOW)
+    y = _matmat(x, a, slots.out)
+    if data.dtype.kind == "f" and not np.isfinite(y[2]).all():
+        raise NumericalError("shortest-path counts overflow float64")
     return y
 
 
 def _reach(indptr, indices, depth=None):
     """Per node, a bound on the nodes within ``depth`` hops of it, itself
-    included, and its rank within its component.
+    included, and its rank within its component, in the dtype of ``indices``.
 
     The bound is the component size, or with ``depth`` the walks of up to
     that many steps, capped at the component size; the walk count stops
@@ -155,7 +177,7 @@ def _reach(indptr, indices, depth=None):
     _, label = connected_components(a, connection="strong")
     size = np.bincount(label)
     order = np.argsort(label, kind="stable")
-    rank = np.empty(len(label), dtype=np.intp)
+    rank = np.empty(len(label), dtype=indices.dtype)
     rank[order] = np.arange(len(label)) - np.repeat(np.cumsum(size) - size, size)
     bound = size[label]
     if depth is not None:
@@ -172,39 +194,51 @@ def _reach(indptr, indices, depth=None):
 class _Slots:
     """Flat slots for the (source, node) entries of a block of sources:
     each source owns a run as long as its component, indexed by the node's
-    rank within the component, so ``len`` bounds the entries the block keeps."""
+    rank within the component, so ``len`` bounds the entries the block keeps.
+    Slots take the graph's index dtype, that of ``rank``, which holds them,
+    as a block holds at most _ENTRY_BUDGET slots or one component's.
+    ``out`` holds the (indptr, indices, data) buffers, in the dtypes of the
+    adjacency ``a``, that every product of the block is written into: a
+    product row holds at most one entry per node of its source's component,
+    and none for an isolated source, so they hold that many entries."""
 
-    def __init__(self, size, rank):
+    def __init__(self, size, rank, a):
         self.starts = np.cumsum(size) - size
         self.rank = rank
         self.len = int(size.sum())
+        fill = self.len - int(np.count_nonzero(size == 1))
+        self.out = (np.empty(len(size) + 1, dtype=a.indptr.dtype),
+                    np.empty(fill, dtype=a.indices.dtype), np.empty(fill, dtype=a.dtype))
 
     def __call__(self, m):
-        """The slot of every stored entry of m, which has one row per source."""
-        s = self.rank[m.indices]
-        s += np.repeat(self.starts, np.diff(m.indptr))
+        """The slot of every stored entry of the triple m, which has one row
+        per source."""
+        s = self.rank[m[1]]
+        s += np.repeat(self.starts, np.diff(m[0]))
         return s
 
 
 def _levels(a, level, slots, depth):
-    """Forward pass from level 0, one row per source: level j, up to
-    ``depth``, holds sigma, the number of shortest paths from the row's
-    source, on the nodes at hop distance j.  The entries of ``level @ a``
-    whose slot no earlier level reached make level j + 1."""
+    """Forward pass from level 0, one (indptr, indices, data) triple with one
+    row per source: level j, up to ``depth``, holds sigma, the number of
+    shortest paths from the row's source, on the nodes at hop distance j.
+    The entries of ``level @ a`` whose slot no earlier level reached make
+    level j + 1."""
     seen = np.zeros(slots.len, dtype=bool)
     seen[slots(level)] = True
     levels = [level]
     while depth is None or len(levels) <= depth:
-        step = _product(level, a)
+        step = _product(level, a, slots)
         s = slots(step)
         new = ~seen[s]
         s = s[new]
         if not len(s):
             break
         seen[s] = True
-        ends = np.zeros(len(new) + 1, dtype=step.indptr.dtype)
+        indptr, indices, data = step
+        ends = np.zeros(len(new) + 1, dtype=indptr.dtype)
         np.cumsum(new, out=ends[1:])
-        level = sp.csr_array((step.data[new], step.indices[new], ends[step.indptr]), shape=step.shape)
+        level = (ends[indptr], indices[new], data[new])
         levels.append(level)
     return levels
 
@@ -216,16 +250,16 @@ def _backward(levels, a, slots, base, delta=None):
     sigma * (x_j - 1 / sigma) is the Brandes dependency.  u is x, or with
     ``delta`` the per-length DAG path counts for lengths < delta.  Each
     level is dropped from ``levels`` once it has been used."""
-    buf = np.zeros(slots.len, dtype=levels[0].dtype)
+    buf = np.zeros(slots.len, dtype=a.dtype)
     below, upper = [], None
     while len(levels) > 1:
         sigma = levels.pop()
-        at, b = slots(sigma), base(sigma.data)
+        at, b = slots(sigma), base(sigma[2])
         ps = []
         for u in below:
-            p = _product(_like(upper, u), a)
+            p = _product((*upper[:2], u), a, slots)
             s = slots(p)
-            buf[s] = p.data
+            buf[s] = p[2]
             ps.append(buf[at])
             buf[s] = 0
         x = reduce(_add, ps, b)
@@ -241,14 +275,13 @@ def _path_count_sums(levels, a, slots, delta=None):
     if delta is not None and len(levels) <= delta + 1:
         # every level, and every DAG path down, is within delta: plain stress
         delta = None
-    for j, sigma, p in _backward(levels, a, slots, np.ones_like, delta):
+    for j, (_, nodes, s), p in _backward(levels, a, slots, np.ones_like, delta):
         if delta is not None and j > delta:
             continue
-        s = sigma.data
         if int(s.max()) * int(p.max()) >= _INT64_END and np.any(p > np.iinfo(np.int64).max // s):
             raise NumericalError(_OVERFLOW)
-        np.add.at(out[0], sigma.indices, s * p >> 32)
-        np.add.at(out[1], sigma.indices, s * p & _LOW32)
+        np.add.at(out[0], nodes, s * p >> 32)
+        np.add.at(out[1], nodes, s * p & _LOW32)
     return out
 
 
@@ -283,9 +316,9 @@ def _run_sources(graph, dtype, depth, block_sum, workers):
 
     def run(block):
         lo, hi = block
-        level = sp.csr_array((np.ones(hi - lo, dtype), np.arange(lo, hi, dtype=indices.dtype),
-                              np.arange(hi - lo + 1, dtype=indptr.dtype)), shape=(hi - lo, a.shape[0]))
-        slots = _Slots(size[lo:hi], rank)
+        level = (np.arange(hi - lo + 1, dtype=a.indptr.dtype),
+                 np.arange(lo, hi, dtype=a.indices.dtype), np.ones(hi - lo, dtype))
+        slots = _Slots(size[lo:hi], rank, a)
         return block_sum(_levels(a, level, slots, depth), a, slots)
 
     w = min(resolve_workers(workers), len(blocks))
@@ -315,8 +348,8 @@ def stress_centrality(graph, workers=None):
 
 
 def _dependency_sums(levels, a, slots):
-    return sum((np.bincount(sigma.indices, sigma.data * deps, a.shape[0])
-                for _, sigma, deps in _backward(levels, a, slots, np.reciprocal)),
+    return sum((np.bincount(nodes, sigma * deps, a.shape[0])
+                for _, (_, nodes, sigma), deps in _backward(levels, a, slots, np.reciprocal)),
                np.zeros(a.shape[0]))
 
 

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csgraph
 
+from ._arrays import distinct
 from .centrality import _adjacency, _blocks, _stress1, as_csr, st_from_stress1
 from .theory import clipped_disk_area, neighborhood_st, sigma_interior
 
@@ -195,13 +196,6 @@ def _smoothed_mode(dense, window):
     return int(tied[np.argmax(dense[tied])])
 
 
-def _distinct(a):
-    """The distinct values of ``a`` in order.  Sorting finds them several
-    times faster than the hash table that plain ``np.unique`` uses."""
-    a = np.sort(a)
-    return a[np.diff(a, prepend=-1) != 0]
-
-
 def _tree_phases(indptr, indices, adj, roots, participating, cap, trace):
     """Phases 1-3 on the CSR graph and its scipy adjacency ``adj``: min-id
     flooding among the ``participating`` nodes, the BFS tree from ``roots``
@@ -232,8 +226,8 @@ def _tree_phases(indptr, indices, adj, roots, participating, cap, trace):
             lower = np.flatnonzero(ids < best[to])
             to = to[lower]
             np.minimum.at(best, to, ids[lower])
-            fell.append(_distinct(to))
-        senders = _distinct(np.concatenate(fell))
+            fell.append(distinct(to))
+        senders = distinct(np.concatenate(fell))
 
     # -- phase 2: BFS tree.  Each level announces in one round, roots with
     # (level) and everyone else with (level, parent), hence payloads 1 and 2;
@@ -332,7 +326,7 @@ def run_protocol(graph, config=None):
         thresholds[ci] = t_val
         trace.components.append(ComponentInfo(
             root=root, size=int(sizes[ci]), dhat=dhat, threshold=t_val, histogram=hist))
-    for senders in np.bincount(level[np.unique(parent[parent >= 0])]):
+    for senders in np.bincount(level[distinct(parent[parent >= 0])]):
         trace._log_round(4, senders, 2 * senders)
 
     # -- phase 5: neighbor-list exchange and the local decision

@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._arrays import distinct
 from ._workers import resolve_workers
 from .errors import BinningMismatchError
 
@@ -237,7 +238,7 @@ def _sample_batch(seed, count, s, lam):
     rng = np.random.default_rng(seed)
     ns = rng.poisson(lam, size=count)
     st = np.zeros(count)
-    for value in np.unique(ns):
+    for value in distinct(ns):
         v = int(value)
         if v <= 1:
             continue  # st is 0 by convention with fewer than 2 neighbors

@@ -328,8 +328,9 @@ def test_kernel_across_blocks(monkeypatch):
     levels = centrality._levels
 
     def counted(a, level, slots, depth):
-        blocks.append(level.shape[0])
-        assert slots.len <= budget or level.shape[0] == 1
+        rows = len(level[0]) - 1  # level 0 is an (indptr, indices, data) triple
+        blocks.append(rows)
+        assert slots.len <= budget or rows == 1
         return levels(a, level, slots, depth)
 
     monkeypatch.setattr(centrality, "_levels", counted)
@@ -355,6 +356,87 @@ def test_kernel_across_blocks(monkeypatch):
     # the blocks and their order of summation do not depend on the workers
     for name, values in runs[3].items():
         assert np.array_equal(values, one[name]), name
+
+
+def _exact(adj):
+    """stress, betweenness and {delta: restricted stress} by the Brandes
+    oracle, the counts as int64."""
+    stress, betw, rstr = oracles.exact_brandes(adj, deltas=(1, 2))
+    return (np.array(stress, dtype=np.int64), np.array(betw),
+            {d: np.array(r, dtype=np.int64) for d, r in rstr.items()})
+
+
+def _assert_exact(adj, want, label=None):
+    stress, betw, rstr = want
+    assert np.array_equal(bk.stress_centrality(adj), stress), label
+    np.testing.assert_allclose(bk.betweenness_centrality(adj), betw, rtol=1e-9, atol=1e-12,
+                               err_msg=str(label))
+    for d in (1, 2):
+        assert np.array_equal(bk.restricted_stress(adj, d), rstr[d]), (label, d)
+
+
+def test_kernel_runs_no_symbolic_pass(monkeypatch):
+    # the products run scipy's numeric SpGEMM pass alone, never the symbolic
+    # csr_matmat_maxnnz that `x @ a` runs first
+    from scipy.sparse import _compressed
+
+    def symbolic(*args):
+        raise AssertionError("symbolic SpGEMM pass called")
+
+    monkeypatch.setattr(_compressed, "csr_matmat_maxnnz", symbolic)
+    a = centrality._adjacency(*centrality.as_csr(PATH4))
+    with pytest.raises(AssertionError, match="symbolic"):
+        a @ a  # the patch reaches the pass that `x @ a` runs
+    graphs = [random_graph(seed) for seed in range(30)]
+    wants = [_exact(adj) for adj in graphs]
+    for w in (1, 2):
+        monkeypatch.setenv(centrality.WORKERS_ENV, str(w))
+        for seed, (adj, want) in enumerate(zip(graphs, wants)):
+            _assert_exact(adj, want, (w, seed))
+
+
+def _extremes():
+    """K_12, a star with 8 leaves, a 7-node path and 3 isolated nodes: a
+    source of K_12 or a leaf reaches its whole component in one product row."""
+    edges = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+    edges += [(12, leaf) for leaf in range(13, 21)]
+    edges += [(v, v + 1) for v in range(21, 27)]
+    adj = [[] for _ in range(31)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+@pytest.mark.parametrize("budget, rows", [
+    (1, {1}),          # one source a block
+    (5, {1, 3}),       # components larger than the budget, one source a
+                       # block, and the isolated nodes in one block
+    (1 << 20, {31}),   # one block
+])
+def test_product_buffers_hold_the_fullest_rows(monkeypatch, budget, rows):
+    adj = _extremes()
+    want = _exact(adj)
+    monkeypatch.setattr(centrality, "_ENTRY_BUDGET", budget)
+    fills = []
+    matmat = centrality._matmat
+
+    def recorded(x, a, out):
+        y = matmat(x, a, out)
+        fills.append((len(out[0]) - 1, len(y[1]), len(out[1])))
+        return y
+
+    monkeypatch.setattr(centrality, "_matmat", recorded)
+    _assert_exact(adj, want)
+    assert {r for r, _, _ in fills} == rows
+    assert all(nnz <= length for _, nnz, length in fills)
+    if budget < 12:  # a K_12 source fills its buffers
+        assert any(nnz == length == 12 for _, nnz, length in fills)
+    # the halves of the exact int64 check go through the same buffers
+    monkeypatch.setattr(centrality, "_INT64_END", 1)
+    assert np.array_equal(bk.stress_centrality(adj), want[0])
+    for d in (1, 2):
+        assert np.array_equal(bk.restricted_stress(adj, d), want[2][d]), d
 
 
 def test_khop_across_blocks(monkeypatch):
