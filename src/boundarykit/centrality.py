@@ -60,7 +60,9 @@ _OVERFLOW = "shortest-path counts exceed the int64 range"
 
 def as_csr(graph):
     """CSR view (indptr, indices) of a SensorNetwork or adjacency lists; the
-    arrays built from lists take ``netgen._index_dtype``, as a network's do."""
+    arrays built from lists take ``netgen._index_dtype``, as a network's do.
+    Lists are checked by ``_check_adjacency``: ValueError unless they hold
+    node ids only and list each edge once from each of its ends."""
     if hasattr(graph, "indptr"):
         return graph.indptr, graph.indices
     n = len(graph)
@@ -73,7 +75,27 @@ def as_csr(graph):
                                   for a in graph if len(a)])
     else:
         indices = np.empty(0, dtype=dtype)
-    return indptr.astype(dtype, copy=False), indices
+    indptr = indptr.astype(dtype, copy=False)
+    _check_adjacency(indptr, indices)
+    return indptr, indices
+
+
+def _check_adjacency(indptr, indices):
+    """ValueError unless every id in ``indices`` is a node's and each edge is
+    listed once from each of its ends: the path kernel's products check no
+    bounds and rely on the first two, and csgraph's components do not return
+    on repeated entries.  Costs O(n + m)."""
+    n = len(indptr) - 1
+    if len(indices) and (int(indices.min()) < 0 or int(indices.max()) >= n):
+        raise ValueError(f"adjacency holds ids outside 0..{n - 1}")
+    a = _adjacency(indptr, indices, bool)
+    if not a.has_sorted_indices:
+        a = a.sorted_indices()
+    if not a.has_canonical_format:  # a sorted row repeats an id
+        raise ValueError("adjacency lists an edge twice from the same end")
+    t = a.T.tocsr()  # a counting sort, whose rows come out sorted
+    if not (np.array_equal(t.indptr, a.indptr) and np.array_equal(t.indices, a.indices)):
+        raise ValueError("adjacency must list each edge from both of its ends")
 
 
 def _adjacency(indptr, indices, dtype=float):
@@ -132,9 +154,11 @@ def _matmat(x, a, out):
     indptr, indices, data = out
     # csr_matmat checks no bounds, so this is the only guard: a row of x is
     # one source's and holds nodes of its component, so the same row of x @ a
-    # holds neighbours of those, none if the source is isolated, and
-    # csr_matmat stores each column at most once per row; the product thus
-    # fits the buffers that _Slots sizes by the components
+    # holds neighbours of those, which the symmetric adjacency (checked by
+    # _check_adjacency) keeps in that component, and is empty only if the
+    # source's adjacency row is; csr_matmat stores each column at most once
+    # per row, so the product fits the buffers that _Slots sizes by the
+    # components, less one entry per source with an empty row
     csr_matmat(len(indptr) - 1, a.shape[1], *x, a.indptr, a.indices, a.data, *out)
     nnz = indptr[-1]
     return indptr, indices[:nnz], data[:nnz]
@@ -200,13 +224,16 @@ class _Slots:
     ``out`` holds the (indptr, indices, data) buffers, in the dtypes of the
     adjacency ``a``, that every product of the block is written into: a
     product row holds at most one entry per node of its source's component,
-    and none for an isolated source, so they hold that many entries."""
+    and none for a source whose row of ``a`` is empty (an isolated node
+    without a self-loop), so they hold that many entries.  The block's
+    sources are lo, lo + 1, ...; ``size`` holds their component sizes."""
 
-    def __init__(self, size, rank, a):
+    def __init__(self, size, rank, a, lo):
         self.starts = np.cumsum(size) - size
         self.rank = rank
         self.len = int(size.sum())
-        fill = self.len - int(np.count_nonzero(size == 1))
+        rows = np.diff(a.indptr[lo:lo + len(size) + 1])
+        fill = self.len - int(np.count_nonzero(rows == 0))
         self.out = (np.empty(len(size) + 1, dtype=a.indptr.dtype),
                     np.empty(fill, dtype=a.indices.dtype), np.empty(fill, dtype=a.dtype))
 
@@ -306,6 +333,8 @@ def _run_sources(graph, dtype, depth, block_sum, workers):
     with at most 2 * workers of them submitted and not yet summed.
     """
     indptr, indices = as_csr(graph)
+    if hasattr(graph, "indptr"):  # as_csr checks adjacency lists
+        _check_adjacency(indptr, indices)
     perm = None
     if len(indices):  # RCM raises on n = 0, and no order helps without edges
         perm, indptr, indices = _rcm_csr(indptr, indices)
@@ -318,7 +347,7 @@ def _run_sources(graph, dtype, depth, block_sum, workers):
         lo, hi = block
         level = (np.arange(hi - lo + 1, dtype=a.indptr.dtype),
                  np.arange(lo, hi, dtype=a.indices.dtype), np.ones(hi - lo, dtype))
-        slots = _Slots(size[lo:hi], rank, a)
+        slots = _Slots(size[lo:hi], rank, a, lo)
         return block_sum(_levels(a, level, slots, depth), a, slots)
 
     w = min(resolve_workers(workers), len(blocks))

@@ -423,7 +423,8 @@ def test_product_buffers_hold_the_fullest_rows(monkeypatch, budget, rows):
 
     def recorded(x, a, out):
         y = matmat(x, a, out)
-        fills.append((len(out[0]) - 1, len(y[1]), len(out[1])))
+        # indptr's end, not the sliced length, shows an overrun
+        fills.append((len(out[0]) - 1, int(y[0][-1]), len(out[1])))
         return y
 
     monkeypatch.setattr(centrality, "_matmat", recorded)
@@ -437,6 +438,81 @@ def test_product_buffers_hold_the_fullest_rows(monkeypatch, budget, rows):
     assert np.array_equal(bk.stress_centrality(adj), want[0])
     for d in (1, 2):
         assert np.array_equal(bk.restricted_stress(adj, d), want[2][d]), d
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 20])
+def test_self_loops_fit_the_buffers(monkeypatch, budget):
+    # a self-loop puts a source's own node in its product rows, even for an
+    # isolated source, and changes no shortest path
+    monkeypatch.setattr(centrality, "_ENTRY_BUDGET", budget)
+    fills = []
+    matmat = centrality._matmat
+
+    def recorded(x, a, out):
+        y = matmat(x, a, out)
+        fills.append((int(y[0][-1]), len(out[1])))
+        return y
+
+    monkeypatch.setattr(centrality, "_matmat", recorded)
+    plain = _extremes()
+    looped = [sorted(nb + [v]) if v in (0, 13, 20, 21, 28) else nb
+              for v, nb in enumerate(plain)]
+    for adj, bare in [([[0]], [[]]), ([[0], []], [[], []]), ([[0, 1], [0]], [[1], [0]]),
+                      (looped, plain)]:
+        fills.clear()
+        _assert_exact(adj, _exact(bare), adj if len(adj) < 3 else "extremes")
+        assert fills and all(nnz <= length for nnz, length in fills), fills
+
+
+@pytest.mark.parametrize("adj, match", [
+    ([[1], []], "both of its ends"),
+    ([[1, 2], [0], [1]], "both of its ends"),
+    ([[1, 1], [0, 0]], "twice"),
+    ([[2], [0]], "outside"),
+    ([[-1]], "outside"),
+])
+def test_malformed_adjacency_lists_rejected(adj, match):
+    with pytest.raises(ValueError, match=match):
+        centrality.as_csr(adj)
+    for measure in (bk.stress_centrality, bk.betweenness_centrality,
+                    partial(bk.restricted_stress, delta=1)):
+        with pytest.raises(ValueError, match=match):
+            measure(adj)
+
+
+def test_one_way_network_rejected():
+    # a network built by hand is checked by the path kernel itself
+    net = bk.SensorNetwork(np.zeros((2, 2)), 1.0, [0, 1, 1], [1])
+    with pytest.raises(ValueError, match="both of its ends"):
+        bk.stress_centrality(net)
+
+
+@pytest.mark.parametrize("values", [
+    [2**62, 2**62 - 1],                # 2**63 - 1: the high halves alone
+    [2**62, 2**62 - 1, 1],             # 2**63 only once the low halves carry
+    [2**63 - 1, 0],
+    [2**63 - 1, 2**32 - 1],
+    [2**62 - 1, 2**62 - 1, 1],         # low halves carry 1: 2**63 - 1
+    [2**62 - 1, 2**62 - 1, 2**32 + 1],  # and here 2**63 + 2**32 - 1
+])
+def test_product_split_counts_low_half_carries(values):
+    # leaf 1 of a star with hub 0 holds counts on leaves 1..k, so the
+    # product's one entry, at the hub, sums them: the exact int64 check
+    # must raise just when that Python-int sum reaches 2**63
+    star = [[1, 2, 3], [0], [0], [0]]
+    indptr, indices = centrality.as_csr(star)
+    size, rank = centrality._reach(indptr, indices)
+    a = centrality._adjacency(indptr, indices, np.int64)
+    slots = centrality._Slots(size[1:2], rank, a, 1)
+    k = len(values)
+    x = (np.array([0, k], dtype=a.indptr.dtype), np.arange(1, k + 1, dtype=a.indices.dtype),
+         np.array(values, dtype=np.int64))
+    if sum(values) >= 2**63:
+        with pytest.raises(bk.NumericalError):
+            centrality._product(x, a, slots)
+    else:
+        _, nodes, data = centrality._product(x, a, slots)
+        assert nodes.tolist() == [0] and data.tolist() == [sum(values)]
 
 
 def test_khop_across_blocks(monkeypatch):
