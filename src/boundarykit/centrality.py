@@ -9,21 +9,28 @@ protocol.
 
 Stress, betweenness and restricted stress share one kernel, Brandes'
 algorithm as sparse products: blocks of sources walk forward one BFS level
-per product with the adjacency, then sum dependencies back up.  Each source
-owns one flat slot per node of its component, so a level is the entries of
-its product whose slot no earlier level reached, and the backward pass reads
-each product at a level's slots.  A product is scipy's numeric SpGEMM pass
-alone, without the symbolic pass that sizes its output: it writes into
-buffers that the block's slots bound, allocated once per block, and levels
-are plain (indptr, indices, data) triples, so a level costs one product and
-no matrix build either way.  The kernel runs on the graph relabelled in
-reverse Cuthill-McKee order, which gives neighbours nearby ids and so makes
-the products faster, and maps each result back to the caller's ids.  A block
-holds sources whose component sizes sum to at most ``_ENTRY_BUDGET``, which
-bounds its memory whatever n is.  Blocks run on ``workers`` threads and are
-summed in block order, so results do not depend on the worker count.
-Integer counts are exact or raise NumericalError.  ``khop_size`` takes
-boolean products with I + A instead.
+per product with the adjacency, then sum dependencies back up.  The kernel
+runs on the graph relabelled in reverse Cuthill-McKee order, which gives
+neighbours nearby ids and so makes the products faster, with each
+component's ids made contiguous, and maps each result back to the caller's
+ids; a component of at most 2 nodes has no interior node, so it runs no
+source.  A block lays its sources out as a dense rows x W array, W its
+largest component, where row r holds node v at v less the first id of its
+source's component.  A level is the entries of its product whose slot no
+earlier level reached; its slots are kept, and its indptr is where they pass
+the rows' bounds.  A product is scipy's numeric SpGEMM pass alone, without
+the symbolic pass that sizes its output: it writes into buffers that the
+block's components bound, allocated once per block, and levels are plain
+(indptr, indices, data) triples, so a level costs one product and no matrix
+build.  The backward pass multiplies by the adjacency with each id less its
+component's first, adds each product into a dense buffer per path length
+with scipy's CSR-to-dense scatter, which puts every entry at its slot, and
+reads the buffer at the level's kept slots; no pass clears it.  A block's
+rows times W is at most ``_ENTRY_BUDGET``, which bounds its memory whatever
+n is.  Blocks run on ``workers`` threads and are summed in block order, so
+results do not depend on the worker count.  Integer counts are exact or
+raise NumericalError.  ``khop_size`` takes boolean products with I + A
+instead.
 """
 
 from __future__ import annotations
@@ -36,8 +43,9 @@ from functools import partial, reduce
 import numpy as np
 import scipy.sparse as sp
 # scipy's numeric SpGEMM pass, without the symbolic pass and the checks that
-# `x @ a` adds; a private function, verified on scipy 1.17.1
-from scipy.sparse._sparsetools import csr_matmat
+# `x @ a` adds, and its CSR-to-dense scatter, which adds into a given buffer;
+# private functions, verified on scipy 1.17.1
+from scipy.sparse._sparsetools import csr_matmat, csr_todense
 
 # the thread-count helpers live in a scipy-free module, so that theory can use
 # them; callers of the path measures import them from here
@@ -47,11 +55,12 @@ from .netgen import SensorNetwork, _index_dtype
 
 # stress1 takes rows in blocks whose neighbors' degrees sum to about this
 _GATHER_BUDGET = 1 << 22
-# the path measures and khop take sources in blocks that keep at most this
-# many (source, node) entries, which also bounds a path-kernel block's product
-# buffers; larger blocks spend less CPU per source on each product but hold
-# more memory per worker, and this size was picked from the peak RSS measured
-# on 1.5k-node networks
+# the path measures take sources in blocks whose dense layout, rows times the
+# largest of their components, holds at most this many (source, node) slots,
+# which also bounds a block's product and scatter buffers, and khop takes them
+# in blocks whose balls hold at most this many entries; larger blocks spend
+# less CPU per source on each product but hold more memory per worker, and
+# this size was picked from the peak RSS measured on 1.5k-node networks
 _ENTRY_BUDGET = 3 << 14
 _INT64_END = 1 << 63
 _LOW32 = (1 << 32) - 1
@@ -109,14 +118,30 @@ def _adjacency(indptr, indices, dtype=float):
 
 
 def _rcm_csr(indptr, indices):
-    """The CSR of a graph with at least one edge, relabelled in reverse
-    Cuthill-McKee order: (perm, indptr, indices), where new node i is old
-    node perm[i] and each row is sorted."""
+    """The CSR of a graph with at least one edge, relabelled for the path
+    kernel: (perm, indptr, indices, first, end), where new node i is old
+    node perm[i], each row is sorted, and the component of new node i holds
+    the new nodes first[i] .. end[i] - 1.
+
+    The order is reverse Cuthill-McKee's, which gives neighbours nearby ids,
+    stably sorted by component, so that every component is contiguous
+    whatever order RCM returns: larger components first, so that those of
+    at most 2 nodes come last, and equal sizes in the order RCM reaches them.
+    """
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     perm = reverse_cuthill_mckee(_adjacency(indptr, indices, bool), symmetric_mode=True)
-    inv = np.empty(len(perm), dtype=indices.dtype)
-    inv[perm] = np.arange(len(perm), dtype=indices.dtype)
+    label, size = _components(_adjacency(indptr, indices))
+    n = len(perm)
+    label = label[perm]
+    head = np.full(len(size), n)
+    np.minimum.at(head, label, np.arange(n))
+    order = np.argsort((n - size[label]) * n + head[label], kind="stable")
+    perm, label = perm[order], label[order]
+    cuts = np.flatnonzero(np.diff(label, prepend=-1, append=-1)).astype(indices.dtype)
+    runs = np.diff(cuts)
+    inv = np.empty(n, dtype=indices.dtype)
+    inv[perm] = np.arange(n, dtype=indices.dtype)
     # one gather takes old row perm[i] as new row i
     degs = np.diff(indptr)[perm]
     ptr = np.zeros_like(indptr)
@@ -124,7 +149,7 @@ def _rcm_csr(indptr, indices):
     at = np.repeat(indptr[perm] - ptr[:-1], degs) + np.arange(ptr[-1])
     a = _adjacency(ptr, inv[indices[at]], bool)
     a.sort_indices()
-    return perm, a.indptr, a.indices
+    return perm, a.indptr, a.indices, np.repeat(cuts[:-1], runs), np.repeat(cuts[1:], runs)
 
 
 def _blocks(work, budget):
@@ -135,6 +160,18 @@ def _blocks(work, budget):
     while lo < len(ends):
         cap = ends[lo] - work[lo] + budget
         hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
+
+
+def _span_blocks(size, budget):
+    """Consecutive source ranges (lo, hi) of budget // size[lo] sources, or
+    one, for component sizes ``size`` that never grow: rows times the
+    block's largest component is at most ``budget``."""
+    blocks, lo = [], 0
+    while lo < len(size):
+        hi = min(len(size), lo + max(1, budget // int(size[lo])))
         blocks.append((lo, hi))
         lo = hi
     return blocks
@@ -155,16 +192,16 @@ def _matmat(x, a, out):
     # csr_matmat checks no bounds, so this is the only guard: a row of x is
     # one source's and holds nodes of its component, so the same row of x @ a
     # holds neighbours of those, which the symmetric adjacency (checked by
-    # _check_adjacency) keeps in that component, and is empty only if the
-    # source's adjacency row is; csr_matmat stores each column at most once
-    # per row, so the product fits the buffers that _Slots sizes by the
-    # components, less one entry per source with an empty row
+    # _check_adjacency) keeps in that component, so their ids, or with
+    # _Span.rel their ids less the component's first, are below a.shape[1];
+    # csr_matmat stores each column at most once per row, so the product
+    # fits the buffers that _Span sizes by the sources' components
     csr_matmat(len(indptr) - 1, a.shape[1], *x, a.indptr, a.indices, a.data, *out)
     nnz = indptr[-1]
     return indptr, indices[:nnz], data[:nnz]
 
 
-def _product(x, a, slots):
+def _product(x, a, span):
     """x @ a for a nonnegative triple x, in the block's buffers, raising
     NumericalError on a non-finite float or inexact int64 entry.  When
     max(x) * n (n bounds every degree) reaches 2**63, x's 32-bit halves are
@@ -172,141 +209,162 @@ def _product(x, a, slots):
     whole 2**32 units of each exact entry."""
     indptr, indices, data = x
     if data.dtype.kind == "i" and len(data) and int(data.max()) * a.shape[0] >= _INT64_END:
-        units = np.zeros(slots.len, dtype=np.int64)
-        hi = _matmat((indptr, indices, data >> 32), a, slots.out)
-        units[slots(hi)] = hi[2]
-        lo = _matmat((indptr, indices, data & _LOW32), a, slots.out)
-        units[slots(lo)] += lo[2] >> 32
+        units = span.dense(np.int64)
+        hi = _matmat((indptr, indices, data >> 32), span.rel, span.out)
+        csr_todense(span.rows, span.width, *hi, units)
+        lo = _matmat((indptr, indices, data & _LOW32), span.rel, span.out)
+        csr_todense(span.rows, span.width, *lo[:2], lo[2] >> 32, units)
         if units.max() >= 1 << 31:
             raise NumericalError(_OVERFLOW)
-    y = _matmat(x, a, slots.out)
+    y = _matmat(x, a, span.out)
     if data.dtype.kind == "f" and not np.isfinite(y[2]).all():
         raise NumericalError("shortest-path counts overflow float64")
     return y
 
 
-def _reach(indptr, indices, depth=None):
-    """Per node, a bound on the nodes within ``depth`` hops of it, itself
-    included, and its rank within its component, in the dtype of ``indices``.
-
-    The bound is the component size, or with ``depth`` the walks of up to
-    that many steps, capped at the component size; the walk count stops
-    early once it stops growing.
-    """
+def _components(a):
+    """The component label of each node of the adjacency ``a`` (float, so
+    that csgraph does not copy it) and the size of each component."""
     from scipy.sparse.csgraph import connected_components
 
-    a = _adjacency(indptr, indices)
     # the strong components of a symmetric adjacency are its components, and
     # need no transposed copy
     _, label = connected_components(a, connection="strong")
-    size = np.bincount(label)
-    order = np.argsort(label, kind="stable")
-    rank = np.empty(len(label), dtype=indices.dtype)
-    rank[order] = np.arange(len(label)) - np.repeat(np.cumsum(size) - size, size)
+    return label, np.bincount(label)
+
+
+def _reach(indptr, indices, depth):
+    """Per node, a bound on the nodes within ``depth`` hops of it, itself
+    included: the walks of up to that many steps, capped at the component
+    size; the walk count stops early once it stops growing."""
+    a = _adjacency(indptr, indices)
+    label, size = _components(a)
     bound = size[label]
-    if depth is not None:
-        walks = np.ones(len(label))
-        for _ in range(depth):  # Horner: 1 + A @ (walks of one step fewer)
-            grown = np.minimum(1.0 + a @ walks, bound)
-            if np.array_equal(grown, walks):
-                break
-            walks = grown
-        bound = walks
-    return bound, rank
+    walks = np.ones(len(label))
+    for _ in range(depth):  # Horner: 1 + A @ (walks of one step fewer)
+        grown = np.minimum(1.0 + a @ walks, bound)
+        if np.array_equal(grown, walks):
+            break
+        walks = grown
+    return walks
 
 
-class _Slots:
-    """Flat slots for the (source, node) entries of a block of sources:
-    each source owns a run as long as its component, indexed by the node's
-    rank within the component, so ``len`` bounds the entries the block keeps.
-    Slots take the graph's index dtype, that of ``rank``, which holds them,
-    as a block holds at most _ENTRY_BUDGET slots or one component's.
-    ``out`` holds the (indptr, indices, data) buffers, in the dtypes of the
-    adjacency ``a``, that every product of the block is written into: a
-    product row holds at most one entry per node of its source's component,
-    and none for a source whose row of ``a`` is empty (an isolated node
-    without a self-loop), so they hold that many entries.  The block's
-    sources are lo, lo + 1, ...; ``size`` holds their component sizes."""
+class _Span:
+    """The dense layout of a block of sources, over their components, which
+    ``_rcm_csr`` makes contiguous: the component of row r's source holds the
+    ids first[r] .. first[r] + size[r] - 1, and node v of it sits at slot
+    r * width + v - first[r] of a rows x width array, with width the block's
+    largest component.  So row r owns one run of slots, in row order, that
+    ``bounds`` delimits, and a node's slot is its id plus ``starts[r]``.
+    ``rel`` is the adjacency ``a`` with each id less its component's first
+    id, so that a product with it holds v - first[r] in row r, at the
+    offset of v's slot in the row's run.  Slots take the graph's index
+    dtype, which holds them, as a block holds at most _ENTRY_BUDGET slots
+    or one row.  ``lo`` is the first id of the block's components, and
+    ``ids`` the count of ids from there that they hold.
+    ``out`` holds the (indptr, indices, data) buffers, in the dtypes of
+    ``a``, that every product of the block is written into: a product row
+    holds at most one entry per node of its source's component, so they
+    hold the sum of the sources' component sizes."""
 
-    def __init__(self, size, rank, a, lo):
-        self.starts = np.cumsum(size) - size
-        self.rank = rank
-        self.len = int(size.sum())
-        rows = np.diff(a.indptr[lo:lo + len(size) + 1])
-        fill = self.len - int(np.count_nonzero(rows == 0))
-        self.out = (np.empty(len(size) + 1, dtype=a.indptr.dtype),
-                    np.empty(fill, dtype=a.indices.dtype), np.empty(fill, dtype=a.dtype))
+    def __init__(self, rel, first, size):
+        dtype = rel.indices.dtype
+        self.rel, self.rows = rel, len(first)
+        self.width = int(size[0]) if self.rows else 0
+        self.len = self.rows * self.width
+        self.bounds = np.arange(self.rows + 1, dtype=dtype) * self.width
+        self.starts = self.bounds[:-1] - first.astype(dtype, copy=False)
+        self.lo = int(first[0]) if self.rows else 0
+        self.ids = int(first[-1] + size[-1]) - self.lo if self.rows else 0
+        fill = int(size.sum())
+        self.out = (np.empty(self.rows + 1, dtype=rel.indptr.dtype),
+                    np.empty(fill, dtype=dtype), np.empty(fill, dtype=rel.dtype))
 
     def __call__(self, m):
         """The slot of every stored entry of the triple m, which has one row
-        per source."""
-        s = self.rank[m[1]]
-        s += np.repeat(self.starts, np.diff(m[0]))
+        per source and the graph's ids."""
+        indptr = m[0]
+        s = np.repeat(self.starts, indptr[1:] - indptr[:-1])
+        s += m[1]
         return s
 
+    def dense(self, dtype):
+        """A zeroed array over the slots."""
+        return np.zeros(self.len, dtype=dtype)
 
-def _levels(a, level, slots, depth):
+
+def _levels(a, level, span, depth):
     """Forward pass from level 0, one (indptr, indices, data) triple with one
-    row per source: level j, up to ``depth``, holds sigma, the number of
-    shortest paths from the row's source, on the nodes at hop distance j.
-    The entries of ``level @ a`` whose slot no earlier level reached make
-    level j + 1."""
-    seen = np.zeros(slots.len, dtype=bool)
-    seen[slots(level)] = True
-    levels = [level]
+    row per source: a list of (level j, its slots), up to ``depth``, where
+    level j holds sigma, the number of shortest paths from the row's source,
+    on the nodes at hop distance j.  The entries of ``level @ a`` whose slot
+    no earlier level reached make level j + 1; they stay in row order, so
+    its indptr is where its slots pass the rows' bounds."""
+    s = span(level)
+    unseen = np.ones(span.len, dtype=bool)
+    unseen[s] = False
+    levels = [(level, s)]
     while depth is None or len(levels) <= depth:
-        step = _product(level, a, slots)
-        s = slots(step)
-        new = ~seen[s]
+        indptr, indices, data = _product(level, a, span)
+        s = span((indptr, indices))
+        new = unseen[s]
         s = s[new]
         if not len(s):
             break
-        seen[s] = True
-        indptr, indices, data = step
-        ends = np.zeros(len(new) + 1, dtype=indptr.dtype)
-        np.cumsum(new, out=ends[1:])
-        level = (ends[indptr], indices[new], data[new])
-        levels.append(level)
+        unseen[s] = False
+        indptr = np.searchsorted(s, span.bounds).astype(indptr.dtype)
+        level = (indptr, indices[new], data[new])
+        levels.append((level, s))
     return levels
 
 
-def _backward(levels, a, slots, base, delta=None):
+def _backward(levels, a, span, base, delta=None):
     """Backward pass: yields (j, sigma_j, x_j - base) for j = D .. 1, with
     x_j = base(sigma_j) + (u_{j+1} @ a) read at level j's entries, aligned
     with sigma_j's data.  x_j - 1 counts the DAG paths down (stress);
     sigma * (x_j - 1 / sigma) is the Brandes dependency.  u is x, or with
-    ``delta`` the per-length DAG path counts for lengths < delta.  Each
-    level is dropped from ``levels`` once it has been used."""
-    buf = np.zeros(slots.len, dtype=a.dtype)
+    ``delta`` the per-length DAG path counts for lengths < delta, each
+    length with its own dense buffer.  Each level is dropped from
+    ``levels`` once it has been used."""
+    dense = []
     below, upper = [], None
     while len(levels) > 1:
-        sigma = levels.pop()
-        at, b = slots(sigma), base(sigma[2])
+        sigma, at = levels.pop()
+        b = base(sigma[2])
         ps = []
-        for u in below:
-            p = _product((*upper[:2], u), a, slots)
-            s = slots(p)
-            buf[s] = p[2]
-            ps.append(buf[at])
-            buf[s] = 0
+        for k, u in enumerate(below):
+            if k == len(dense):
+                dense.append(span.dense(a.dtype))
+            p = _product((*upper[:2], u), span.rel, span)
+            # csr_todense adds p into the buffer at row * width + column and
+            # checks no bounds: p's row r holds nodes v of its source's
+            # component (see _matmat) as v - first[r], so it writes the slots
+            # r * width .. (r + 1) * width - 1 of dense[k].  No pass clears
+            # the buffer: the product from level j + 1 holds only nodes at
+            # levels j, j + 1 and j + 2, and each earlier product into it came
+            # from a deeper level, so level j's slots hold this product or zero
+            csr_todense(span.rows, span.width, *p, dense[k])
+            ps.append(dense[k][at])
         x = reduce(_add, ps, b)
         yield len(levels), sigma, x - b
         below = [x] if delta is None else [np.ones_like(b)] + ps[:delta - 1]
         upper = sigma
 
 
-def _path_count_sums(levels, a, slots, delta=None):
-    """Per node, sigma * (DAG paths down) summed over levels 1..delta, as the
-    sums of each term's high and low 32-bit halves, which cannot wrap."""
-    out = np.zeros((2, a.shape[0]), dtype=np.int64)
+def _path_count_sums(levels, a, span, delta=None):
+    """Per node of the span, sigma * (DAG paths down) summed over levels
+    1..delta, as the sums of each term's high and low 32-bit halves, which
+    cannot wrap."""
+    out = np.zeros((2, span.ids), dtype=np.int64)
     if delta is not None and len(levels) <= delta + 1:
         # every level, and every DAG path down, is within delta: plain stress
         delta = None
-    for j, (_, nodes, s), p in _backward(levels, a, slots, np.ones_like, delta):
+    for j, (_, nodes, s), p in _backward(levels, a, span, np.ones_like, delta):
         if delta is not None and j > delta:
             continue
         if int(s.max()) * int(p.max()) >= _INT64_END and np.any(p > np.iinfo(np.int64).max // s):
             raise NumericalError(_OVERFLOW)
+        nodes = nodes - span.lo
         np.add.at(out[0], nodes, s * p >> 32)
         np.add.at(out[1], nodes, s * p & _LOW32)
     return out
@@ -321,46 +379,61 @@ def _join(halves):
 
 
 def _run_sources(graph, dtype, depth, block_sum, workers):
-    """Sum block_sum(levels, a, slots) over blocks of sources, in block order.
+    """Sum block_sum(levels, a, span) over blocks of sources, in block order.
 
     ``a`` is the adjacency in ``dtype``, over as_csr's arrays relabelled by
-    ``_rcm_csr``; the sum, indexed by node in its last axis, is mapped back
-    to the caller's ids.  An edgeless graph keeps its ids.
-    A source keeps at most one entry per node of its component, so a block
-    holds consecutive sources whose component sizes sum to at most
-    _ENTRY_BUDGET (or a single source); its slots and levels stay within
-    that many entries whatever n is.  Blocks run on ``workers`` threads
-    with at most 2 * workers of them submitted and not yet summed.
+    ``_rcm_csr``; a block's sum is indexed by the ids of its components,
+    from ``span.lo``, in its last axis, and the total, by node, is mapped
+    back to the caller's ids.  An edgeless graph keeps its ids.
+    A component of at most 2 nodes has no interior node, so its nodes are
+    no sources.  A block holds consecutive sources whose rows times largest
+    component, the size of its ``_Span``, is at most _ENTRY_BUDGET (or a
+    single source); its slots and levels stay within that many entries
+    whatever n is.  Blocks run on ``workers`` threads with at most
+    2 * workers of them submitted and not yet summed.
     """
     indptr, indices = as_csr(graph)
     if hasattr(graph, "indptr"):  # as_csr checks adjacency lists
         _check_adjacency(indptr, indices)
-    perm = None
+    n = len(indptr) - 1
+    perm, first, size = None, np.empty(0, indices.dtype), np.empty(0, indices.dtype)
     if len(indices):  # RCM raises on n = 0, and no order helps without edges
-        perm, indptr, indices = _rcm_csr(indptr, indices)
-    size, rank = _reach(indptr, indices)
+        perm, indptr, indices, first, end = _rcm_csr(indptr, indices)
+        size = end - first
     a = _adjacency(indptr, indices, dtype)
-    # an empty graph runs one empty block, which gives the sum its shape
-    blocks = _blocks(size, _ENTRY_BUDGET) or [(0, 0)]
+    rel = sp.csr_array((a.data, indices - first[indices], a.indptr),
+                       shape=(n, int(size.max(initial=0))))
+    # _rcm_csr puts the components of at most 2 nodes last, and larger ones
+    # first, so the sources are a prefix whose component sizes never grow
+    sources = np.count_nonzero(size > 2)
+    # no sources run one empty block, which gives the total its shape
+    blocks = _span_blocks(size[:sources], _ENTRY_BUDGET) or [(0, 0)]
 
     def run(block):
         lo, hi = block
-        level = (np.arange(hi - lo + 1, dtype=a.indptr.dtype),
-                 np.arange(lo, hi, dtype=a.indices.dtype), np.ones(hi - lo, dtype))
-        slots = _Slots(size[lo:hi], rank, a, lo)
-        return block_sum(_levels(a, level, slots, depth), a, slots)
+        level = (np.arange(hi - lo + 1, dtype=indptr.dtype),
+                 np.arange(lo, hi, dtype=indices.dtype), np.ones(hi - lo, dtype))
+        span = _Span(rel, first[lo:hi], size[lo:hi])
+        return span.lo, block_sum(_levels(a, level, span, depth), a, span)
+
+    def add(total, result):
+        lo, s = result
+        if total is None:
+            total = np.zeros(s.shape[:-1] + (n,), dtype=s.dtype)
+        total[..., lo:lo + s.shape[-1]] += s
+        return total
 
     w = min(resolve_workers(workers), len(blocks))
     if w == 1:
-        total = sum(map(run, blocks))
+        total = reduce(add, map(run, blocks), None)
     else:
         with ThreadPoolExecutor(max_workers=w) as ex:
-            pending, total = deque(), 0
+            pending, total = deque(), None
             for block in blocks:
                 pending.append(ex.submit(run, block))
                 if len(pending) > 2 * w:  # bounds the block sums held at once
-                    total = total + pending.popleft().result()
-            total = sum((f.result() for f in pending), total)
+                    total = add(total, pending.popleft().result())
+            total = reduce(add, (f.result() for f in pending), total)
     if perm is None:
         return total
     out = np.empty_like(total)
@@ -376,10 +449,11 @@ def stress_centrality(graph, workers=None):
     return _join(_run_sources(graph, np.int64, None, _path_count_sums, workers))
 
 
-def _dependency_sums(levels, a, slots):
-    return sum((np.bincount(nodes, sigma * deps, a.shape[0])
-                for _, (_, nodes, sigma), deps in _backward(levels, a, slots, np.reciprocal)),
-               np.zeros(a.shape[0]))
+def _dependency_sums(levels, a, span):
+    """Per node of the span, the Brandes dependencies summed over levels."""
+    return sum((np.bincount(nodes - span.lo, sigma * deps, span.ids)
+                for _, (_, nodes, sigma), deps in _backward(levels, a, span, np.reciprocal)),
+               np.zeros(span.ids))
 
 
 def betweenness_centrality(graph, workers=None):
@@ -401,7 +475,7 @@ def khop_size(graph, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     indptr, indices = as_csr(graph)
-    bound, _ = _reach(indptr, indices, k)
+    bound = _reach(indptr, indices, k)
     n = len(bound)
     step = _adjacency(indptr, indices, bool) + sp.eye_array(n, dtype=bool, format="csr")
     out = np.empty(n, dtype=np.int64)

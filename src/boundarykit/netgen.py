@@ -34,18 +34,22 @@ class SensorNetwork:
         unless n or 2m exceeds the int32 range (``_index_dtype``).
 
     ``positions``, ``indptr`` and ``indices`` are read-only views; the
-    arrays passed in stay writeable.  Since the network cannot change,
-    ``centrality.stress1`` keeps its result on it (``_kept_stress1``, None
-    until then), and ``normalized_st`` and ``run_protocol`` read it there.
+    arrays passed in stay writeable.  ValueError unless every CSR row is
+    strictly increasing with ids in 0..n-1 (``_check_csr``).  Since the
+    network cannot change, ``centrality.stress1`` keeps its result on it
+    (``_kept_stress1``, None until then), and ``normalized_st`` and
+    ``run_protocol`` read it there.
     """
 
     def __init__(self, positions, radius, indptr, indices, region=None):
         _check_geometry(positions, radius)
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        _check_csr(len(positions), indptr, indices)
         dtype = _index_dtype(len(positions), len(indices))
         self.positions = _read_only(positions)
         self.radius = float(radius)
-        self.indptr = _read_only(np.asarray(indptr).astype(dtype, copy=False))
-        self.indices = _read_only(np.asarray(indices).astype(dtype, copy=False))
+        self.indptr = _read_only(indptr.astype(dtype, copy=False))
+        self.indices = _read_only(indices.astype(dtype, copy=False))
         self.region = region
         self._kept_stress1 = None
 
@@ -70,6 +74,35 @@ class SensorNetwork:
     def __repr__(self):
         m = len(self.indices) // 2
         return f"SensorNetwork(n={self.n}, m={m}, radius={self.radius})"
+
+
+def _check_csr(n, indptr, indices):
+    """ValueError unless ``indptr`` and ``indices`` are the CSR of n rows,
+    each strictly increasing with integer ids in 0..n-1: the sorted-rows
+    invariant that the graph kernels rely on.  One vectorized O(n + m) pass,
+    on the arrays as given, before any cast could wrap an id."""
+    m = len(indices)
+    if (indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != m
+            or np.any(indptr[1:] < indptr[:-1])):
+        raise ValueError(f"indptr must be {n + 1} offsets rising from 0 to {m}")
+    if not m:
+        return
+    if indices.dtype.kind not in "iu":
+        raise ValueError("adjacency ids must be integers")
+    if indices.min() < 0 or indices.max() >= n:
+        raise ValueError(f"adjacency holds ids outside 0..{n - 1}")
+    if not _rows_increase(indptr, indices):
+        raise ValueError("adjacency rows must be strictly increasing")
+
+
+def _rows_increase(indptr, indices):
+    """True if every row of the CSR ``indptr``, ``indices`` is strictly
+    increasing."""
+    up = indices[1:] > indices[:-1]
+    # each row but the first may start below the end of the one before
+    starts = indptr[1:-1]
+    up[starts[(starts > 0) & (starts < len(indices))] - 1] = True
+    return bool(up.all())
 
 
 def _read_only(a):
@@ -289,10 +322,7 @@ def _read_bulk(path):
     del keys
     indptr, indices = _csr_from_edge_keys(n, key)
     # A repeated edge repeats a column within a row of the sorted CSR.
-    same = indices[1:] == indices[:-1]
-    cut = indptr[1:-1] - 1
-    same[cut[(cut >= 0) & (cut < len(same))]] = False
-    if same.any():
+    if not _rows_increase(indptr, indices):
         return None
     return pos, radius, indptr, indices
 

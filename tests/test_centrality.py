@@ -235,7 +235,7 @@ def test_relabelling_leaves_path_measures_unchanged(monkeypatch):
     padj = [[] for _ in range(n)]
     for v, nb in enumerate(adj):
         padj[perm[v]] = sorted(int(perm[w]) for w in nb)
-    order, _, _ = centrality._rcm_csr(*centrality.as_csr(padj))
+    order = centrality._rcm_csr(*centrality.as_csr(padj))[0]
     assert not np.array_equal(order, np.arange(n))
 
     measures = {"stress": bk.stress_centrality, "betweenness": bk.betweenness_centrality,
@@ -319,26 +319,28 @@ def _pieces():
 
 def test_kernel_across_blocks(monkeypatch):
     # a budget that splits the sources into more blocks than three workers
-    # keep in flight; every block keeps its slots within the budget unless
-    # it holds a single source
+    # keep in flight; every block keeps its rows times width within the
+    # budget unless it holds a single source
     adj = _pieces()
     budget = 3 * len(adj)
     monkeypatch.setattr(centrality, "_ENTRY_BUDGET", budget)
     blocks = []
     levels = centrality._levels
 
-    def counted(a, level, slots, depth):
+    def counted(a, level, span, depth):
         rows = len(level[0]) - 1  # level 0 is an (indptr, indices, data) triple
         blocks.append(rows)
-        assert slots.len <= budget or rows == 1
-        return levels(a, level, slots, depth)
+        assert span.rows == rows and span.len == rows * span.width
+        assert span.len <= budget or rows == 1
+        return levels(a, level, span, depth)
 
     monkeypatch.setattr(centrality, "_levels", counted)
 
     def run(measure, *args):
         blocks.clear()
         values = measure(adj, *args)
-        assert len(blocks) >= 4 and sum(blocks) == len(adj)
+        # the isolated node is no source
+        assert len(blocks) >= 4 and sum(blocks) == len(adj) - 1
         return values
 
     o_stress, o_betw, o_rstr = oracles.brute_path_measures(adj, deltas=(1, 2))
@@ -409,17 +411,19 @@ def _extremes():
 
 
 @pytest.mark.parametrize("budget, rows", [
-    (1, {1}),          # one source a block
-    (5, {1, 3}),       # components larger than the budget, one source a
-                       # block, and the isolated nodes in one block
-    (1 << 20, {31}),   # one block
+    (1, {1}),             # one source a block
+    (5, {1}),             # components larger than the budget, one source a block
+    (1 << 20, {28}),      # one block; the isolated nodes are no sources
+    (100, {1, 8, 11}),    # 8 K_12 sources, 4 K_12 and 4 star sources,
+                          # 5 star and 6 path sources, 1 path source
 ])
 def test_product_buffers_hold_the_fullest_rows(monkeypatch, budget, rows):
     adj = _extremes()
     want = _exact(adj)
     monkeypatch.setattr(centrality, "_ENTRY_BUDGET", budget)
-    fills = []
+    fills, widths = [], set()
     matmat = centrality._matmat
+    todense = centrality.csr_todense
 
     def recorded(x, a, out):
         y = matmat(x, a, out)
@@ -427,10 +431,26 @@ def test_product_buffers_hold_the_fullest_rows(monkeypatch, budget, rows):
         fills.append((len(out[0]) - 1, int(y[0][-1]), len(out[1])))
         return y
 
+    def scattered(rows, width, indptr, indices, data, dense):
+        # a product with the adjacency relabelled within each component
+        # holds each node of row r's component once, below the block's
+        # largest component, so the scatter stays in row r's run of slots
+        r = np.repeat(np.arange(rows), np.diff(indptr))
+        assert len(dense) == rows * width and (rows * width <= budget or rows == 1)
+        assert np.all((indices >= 0) & (indices < width)), width
+        assert indptr[-1] == len(indices) == len(data) and len(np.unique(r * width + indices)) == len(r)
+        widths.add((rows, width))
+        todense(rows, width, indptr, indices, data, dense)
+
     monkeypatch.setattr(centrality, "_matmat", recorded)
+    monkeypatch.setattr(centrality, "csr_todense", scattered)
     _assert_exact(adj, want)
     assert {r for r, _, _ in fills} == rows
     assert all(nnz <= length for _, nnz, length in fills)
+    # K_12's blocks reach every node in one level, so they scatter nothing
+    assert {r for r, _ in widths} <= rows
+    if budget == 100:  # blocks over two components, as wide as the larger
+        assert {(8, 12), (11, 9)} <= widths
     if budget < 12:  # a K_12 source fills its buffers
         assert any(nnz == length == 12 for _, nnz, length in fills)
     # the halves of the exact int64 check go through the same buffers
@@ -442,15 +462,16 @@ def test_product_buffers_hold_the_fullest_rows(monkeypatch, budget, rows):
 
 @pytest.mark.parametrize("budget", [1, 1 << 20])
 def test_self_loops_fit_the_buffers(monkeypatch, budget):
-    # a self-loop puts a source's own node in its product rows, even for an
-    # isolated source, and changes no shortest path
+    # a self-loop puts a source's own node in its product rows and changes
+    # no shortest path; a component of at most 2 nodes, looped or not, runs
+    # no source, so its products have no rows
     monkeypatch.setattr(centrality, "_ENTRY_BUDGET", budget)
     fills = []
     matmat = centrality._matmat
 
     def recorded(x, a, out):
         y = matmat(x, a, out)
-        fills.append((int(y[0][-1]), len(out[1])))
+        fills.append((len(out[0]) - 1, int(y[0][-1]), len(out[1])))
         return y
 
     monkeypatch.setattr(centrality, "_matmat", recorded)
@@ -461,7 +482,8 @@ def test_self_loops_fit_the_buffers(monkeypatch, budget):
                       (looped, plain)]:
         fills.clear()
         _assert_exact(adj, _exact(bare), adj if len(adj) < 3 else "extremes")
-        assert fills and all(nnz <= length for nnz, length in fills), fills
+        assert fills and all(nnz <= length for _, nnz, length in fills), fills
+        assert any(rows for rows, _, _ in fills) == (len(adj) > 2), fills
 
 
 @pytest.mark.parametrize("adj, match", [
@@ -500,18 +522,18 @@ def test_product_split_counts_low_half_carries(values):
     # product's one entry, at the hub, sums them: the exact int64 check
     # must raise just when that Python-int sum reaches 2**63
     star = [[1, 2, 3], [0], [0], [0]]
-    indptr, indices = centrality.as_csr(star)
-    size, rank = centrality._reach(indptr, indices)
-    a = centrality._adjacency(indptr, indices, np.int64)
-    slots = centrality._Slots(size[1:2], rank, a, 1)
+    a = centrality._adjacency(*centrality.as_csr(star), np.int64)
+    # one row, for a source whose component holds the 4 ids from 0, so the
+    # adjacency relabelled within components is the adjacency itself
+    span = centrality._Span(a, np.array([0]), np.array([4]))
     k = len(values)
     x = (np.array([0, k], dtype=a.indptr.dtype), np.arange(1, k + 1, dtype=a.indices.dtype),
          np.array(values, dtype=np.int64))
     if sum(values) >= 2**63:
         with pytest.raises(bk.NumericalError):
-            centrality._product(x, a, slots)
+            centrality._product(x, a, span)
     else:
-        _, nodes, data = centrality._product(x, a, slots)
+        _, nodes, data = centrality._product(x, a, span)
         assert nodes.tolist() == [0] and data.tolist() == [sum(values)]
 
 
@@ -548,8 +570,8 @@ def test_blocks_cover_within_budget(work, budget):
 
 
 def test_isolated_nodes_stay_small():
-    # one slot per source: the input, the output and the per-node arrays
-    # take a few MB, where n slots per source would take gigabytes
+    # isolated nodes are no sources: the input, the output and the per-node
+    # arrays take a few MB, where n slots per source would take gigabytes
     import tracemalloc
 
     n = 200_000
@@ -565,6 +587,117 @@ def test_isolated_nodes_stay_small():
             tracemalloc.stop()
         assert len(values) == n and not values.any()
         assert peak < 24 * 2**20, (measure.__name__, peak)
+
+
+def test_disjoint_edges_run_no_sources(monkeypatch):
+    # a component of at most 2 nodes has no interior node, so 100k disjoint
+    # edges run no source, and take no more memory than isolated nodes
+    import tracemalloc
+
+    n = 200_000
+    net = bk.SensorNetwork(np.zeros((n, 2)), 1.0, np.arange(n + 1), np.arange(n) ^ 1)
+    rows = []
+    levels = centrality._levels
+
+    def counted(a, level, span, depth):
+        rows.append(span.rows)
+        return levels(a, level, span, depth)
+
+    monkeypatch.setattr(centrality, "_levels", counted)
+    bk.stress_centrality([[1], [0, 2], [1]])  # the first call imports csgraph
+    for measure, args in ((bk.stress_centrality, ()), (bk.betweenness_centrality, ()),
+                          (bk.restricted_stress, (1,)), (bk.restricted_stress, (2,))):
+        rows.clear()
+        tracemalloc.start()
+        try:
+            values = measure(net, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == n and not values.any()
+        assert rows == [0], (measure.__name__, rows)  # one empty block
+        assert peak < 24 * 2**20, (measure.__name__, peak)
+
+
+def _interleaved():
+    """A 4 x 5 grid on the odd ids 1..39 and a path on the even ids 0..38,
+    whose components interleave in the caller's ids, then two triangles, a
+    6-node path, an edge and an isolated node: 55 nodes."""
+    edges = [(2 * i + 1, 2 * i + 3) for i in range(20) if i % 5 < 4]
+    edges += [(2 * i + 1, 2 * i + 11) for i in range(15)]
+    edges += [(v, v + 2) for v in range(0, 38, 2)]
+    edges += [(40, 41), (41, 42), (40, 42), (43, 44), (44, 45), (43, 45)]
+    edges += [(v, v + 1) for v in range(46, 51)] + [(52, 53)]
+    adj = [[] for _ in range(55)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(nb) for nb in adj]
+
+
+@pytest.mark.parametrize("budget", [1, 30, 120, 1 << 20])
+def test_blocks_across_interleaved_components(monkeypatch, budget):
+    # rows of one block belong to different components, each laid out from
+    # its own first id, at the stride of the block's largest component
+    adj = _interleaved()
+    want = _exact(adj)
+    monkeypatch.setattr(centrality, "_ENTRY_BUDGET", budget)
+    shapes = []
+    levels = centrality._levels
+
+    def counted(a, level, span, depth):
+        first = span.bounds[:-1] - span.starts
+        shapes.append((span.rows, len(np.unique(first)), int(first[0])))
+        assert span.len <= budget or span.rows == 1
+        return levels(a, level, span, depth)
+
+    monkeypatch.setattr(centrality, "_levels", counted)
+    runs = {}
+    for w in (1, 2, 4):
+        monkeypatch.setenv(centrality.WORKERS_ENV, str(w))
+        shapes.clear()
+        runs[w] = [bk.stress_centrality(adj), bk.betweenness_centrality(adj),
+                   *(bk.restricted_stress(adj, d) for d in (1, 2))]
+        # the edge and the isolated node are no sources
+        assert sum(rows for rows, _, _ in shapes) == 4 * 52
+    stress, betw, rstr = want
+    assert np.array_equal(runs[1][0], stress)
+    np.testing.assert_allclose(runs[1][1], betw, rtol=1e-9, atol=1e-12)
+    for d in (1, 2):
+        assert np.array_equal(runs[1][1 + d], rstr[d]), d
+    if budget == 1:
+        assert {rows for rows, _, _ in shapes} == {1}
+    elif budget == 1 << 20:  # one block of every source
+        assert set(shapes) == {(52, 5, 0)}
+    else:  # some block spans two components, and some starts past id 0
+        assert max(comps for _, comps, _ in shapes) >= 2
+        assert max(lo for _, _, lo in shapes) > 0
+    for w in (2, 4):
+        for got, one in zip(runs[w], runs[1]):
+            assert got.tobytes() == one.tobytes(), w
+
+
+def test_components_contiguous_whatever_rcm_returns(monkeypatch):
+    # the kernel's layout needs each component's ids contiguous, which the
+    # relabelling guarantees even when RCM leaves components interleaved
+    from scipy.sparse import csgraph
+
+    def identity(graph, symmetric_mode=False):
+        return np.arange(graph.shape[0], dtype=np.int32)
+
+    adj = _interleaved()
+    want = _exact(adj)
+    monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", identity)
+    perm, _, _, first, end = centrality._rcm_csr(*centrality.as_csr(adj))
+    _, label = csgraph.connected_components(centrality._adjacency(*centrality.as_csr(adj)))
+    label = label[perm]
+    for v in range(len(adj)):
+        assert set(label[first[v]:end[v]]) == {label[v]}
+        assert end[v] - first[v] == np.count_nonzero(label == label[v])
+    assert np.all(np.diff(end - first) <= 0)  # larger components first
+    for budget in (1, 30, 1 << 20):
+        monkeypatch.setattr(centrality, "_ENTRY_BUDGET", budget)
+        _assert_exact(adj, want, budget)
 
 
 def test_huge_radius_stops_when_balls_stop_growing():

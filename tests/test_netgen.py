@@ -120,6 +120,34 @@ def test_nonfinite_input_rejected(bad, value):
             bk.build_network(bk.square_with_hole(6.0, 2.0), 50, radius, seed=1)
 
 
+@pytest.mark.parametrize("indptr, indices, match", [
+    ([0, 2, 4], [1, 1, 0, 0], "strictly increasing"),  # a row repeats an id
+    ([0, 2, 3, 4], [2, 1, 0, 0], "strictly increasing"),  # a descending row
+    ([0, 1, 2], [1, 2], "outside"),
+    ([0, 1, 2], [-1, 0], "outside"),
+    ([0, 1, 2], [2**32 + 1, 0], "outside"),  # would wrap to 1 in int32
+    ([0, 2, 1], [1, 0], "offsets"),
+    ([0, 1], [1], "offsets"),  # one offset short
+    ([0, 1, 2], [1.0, 0.0], "integers"),
+])
+def test_malformed_csr_rejected(indptr, indices, match):
+    n = len(indptr) - 1 if match != "offsets" else 2
+    with pytest.raises(ValueError, match=match):
+        bk.SensorNetwork(np.zeros((n, 2)), 1.0, indptr, indices)
+
+
+def test_network_with_repeated_id_rejected_before_any_kernel():
+    # the constructor rejects the network that once sent khop_size and
+    # run_protocol into loops that did not return, and gave stress1 [1, 1]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        bk.SensorNetwork(np.zeros((2, 2)), 1.0, [0, 2, 4], [1, 1, 0, 0])
+    net = bk.SensorNetwork(np.zeros((2, 2)), 1.0, [0, 1, 2], [1, 0])
+    assert bk.khop_size(net, 1).tolist() == [1, 1]
+    assert bk.stress1(net).tolist() == [0, 0]
+    # rows may start below where the row before ended, and be empty
+    bk.SensorNetwork(np.zeros((4, 2)), 1.0, [0, 0, 2, 3, 4], [2, 3, 1, 1])
+
+
 # -- degree calibration ------------------------------------------------------
 
 
