@@ -51,7 +51,7 @@ from scipy.sparse._sparsetools import csr_matmat, csr_todense
 # them; callers of the path measures import them from here
 from ._workers import WORKERS_ENV, resolve_workers
 from .errors import NumericalError
-from .netgen import SensorNetwork, _index_dtype
+from .netgen import SensorNetwork, _check_csr, _index_dtype
 
 # stress1 takes rows in blocks whose neighbors' degrees sum to about this
 _GATHER_BUDGET = 1 << 22
@@ -68,41 +68,33 @@ _OVERFLOW = "shortest-path counts exceed the int64 range"
 
 
 def as_csr(graph):
-    """CSR view (indptr, indices) of a SensorNetwork or adjacency lists; the
-    arrays built from lists take ``netgen._index_dtype``, as a network's do.
-    Lists are checked by ``_check_adjacency``: ValueError unless they hold
-    node ids only and list each edge once from each of its ends."""
-    if hasattr(graph, "indptr"):
+    """CSR view (indptr, indices) of a SensorNetwork or of adjacency lists,
+    one sequence of node ids per node.  List rows are sorted, checked as a
+    network's are (``netgen._check_csr``) and for symmetry
+    (``_check_adjacency``), and take ``netgen._index_dtype``, as a network's
+    arrays do.  A scipy sparse array is refused: it is neither."""
+    if isinstance(graph, SensorNetwork):
         return graph.indptr, graph.indices
+    if sp.issparse(graph):
+        raise ValueError("a graph is a SensorNetwork or adjacency lists, not a sparse array")
     n = len(graph)
-    degs = np.fromiter((len(a) for a in graph), dtype=np.int64, count=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degs, out=indptr[1:])
-    dtype = _index_dtype(n, int(indptr[-1]))
-    if n and indptr[-1]:
-        indices = np.concatenate([np.sort(np.asarray(a, dtype=dtype))
-                                  for a in graph if len(a)])
-    else:
-        indices = np.empty(0, dtype=dtype)
-    indptr = indptr.astype(dtype, copy=False)
+    np.cumsum(np.fromiter(map(len, graph), dtype=np.int64, count=n), out=indptr[1:])
+    indices = np.concatenate([np.sort(a) for a in graph if len(a)] or [np.empty(0, np.int64)])
+    _check_csr(n, indptr, indices)
+    dtype = _index_dtype(n, len(indices))
+    indptr, indices = indptr.astype(dtype), indices.astype(dtype, copy=False)
     _check_adjacency(indptr, indices)
     return indptr, indices
 
 
 def _check_adjacency(indptr, indices):
-    """ValueError unless every id in ``indices`` is a node's and each edge is
-    listed once from each of its ends: the path kernel's products check no
-    bounds and rely on the first two, and csgraph's components do not return
-    on repeated entries.  Costs O(n + m)."""
-    n = len(indptr) - 1
-    if len(indices) and (int(indices.min()) < 0 or int(indices.max()) >= n):
-        raise ValueError(f"adjacency holds ids outside 0..{n - 1}")
+    """ValueError unless the CSR, whose rows ``netgen._check_csr`` has
+    accepted, lists each edge from both of its ends: a symmetry that the
+    path kernel's unchecked writes rely on (see ``_matmat``) and that the
+    CSR check cannot establish.  Costs O(n + m)."""
     a = _adjacency(indptr, indices, bool)
-    if not a.has_sorted_indices:
-        a = a.sorted_indices()
-    if not a.has_canonical_format:  # a sorted row repeats an id
-        raise ValueError("adjacency lists an edge twice from the same end")
-    t = a.T.tocsr()  # a counting sort, whose rows come out sorted
+    t = a.T.tocsr()  # a counting sort, whose rows come out sorted, as a's are
     if not (np.array_equal(t.indptr, a.indptr) and np.array_equal(t.indices, a.indices)):
         raise ValueError("adjacency must list each edge from both of its ends")
 
@@ -191,11 +183,12 @@ def _matmat(x, a, out):
     indptr, indices, data = out
     # csr_matmat checks no bounds, so this is the only guard: a row of x is
     # one source's and holds nodes of its component, so the same row of x @ a
-    # holds neighbours of those, which the symmetric adjacency (checked by
-    # _check_adjacency) keeps in that component, so their ids, or with
-    # _Span.rel their ids less the component's first, are below a.shape[1];
-    # csr_matmat stores each column at most once per row, so the product
-    # fits the buffers that _Span sizes by the sources' components
+    # holds neighbours of those, which the adjacency keeps in that component,
+    # as its ids are nodes' (netgen._check_csr) and each edge is listed from
+    # both ends (_check_adjacency); so their ids, or with _Span.rel their ids
+    # less the component's first, are below a.shape[1]; csr_matmat stores
+    # each column at most once per row, so the product fits the buffers that
+    # _Span sizes by the sources' components
     csr_matmat(len(indptr) - 1, a.shape[1], *x, a.indptr, a.indices, a.data, *out)
     nnz = indptr[-1]
     return indptr, indices[:nnz], data[:nnz]
@@ -393,7 +386,7 @@ def _run_sources(graph, dtype, depth, block_sum, workers):
     2 * workers of them submitted and not yet summed.
     """
     indptr, indices = as_csr(graph)
-    if hasattr(graph, "indptr"):  # as_csr checks adjacency lists
+    if isinstance(graph, SensorNetwork):  # as_csr checks adjacency lists
         _check_adjacency(indptr, indices)
     n = len(indptr) - 1
     perm, first, size = None, np.empty(0, indices.dtype), np.empty(0, indices.dtype)

@@ -122,6 +122,8 @@ def _cmd_protocol(args):
 
     region = geometry.load_region(args.region) if args.region else None
     net = netgen.load_network(args.network, region=region)
+    # a bad --band fails here, before the run writes any output
+    truth = netgen.ground_truth(net, band=args.band) if region is not None else None
     config = protocol.ProtocolConfig(
         theta=args.theta, rule=args.rule, filter_enabled=args.filter,
         filter_min_boundary_neighbors=args.min_boundary_neighbors,
@@ -142,7 +144,6 @@ def _cmd_protocol(args):
     print(f"messages={acct.total_messages} payload={acct.total_payload} "
           f"payload/node={acct.payload_per_node:.4g}")
     if region is not None:
-        truth = netgen.ground_truth(net, band=args.band)
         fn, fp = protocol.classification_rates(labels, truth)
         print(f"against band {args.band if args.band else net.radius:.4g}: "
               f"false_negative_rate={fn:.4f} false_positive_rate={fp:.4f}")

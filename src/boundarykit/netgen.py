@@ -35,7 +35,11 @@ class SensorNetwork:
 
     ``positions``, ``indptr`` and ``indices`` are read-only views; the
     arrays passed in stay writeable.  ValueError unless every CSR row is
-    strictly increasing with ids in 0..n-1 (``_check_csr``).  Since the
+    strictly increasing with integer ids in 0..n-1 (``_check_csr``, the
+    check that ``centrality.as_csr`` runs on adjacency lists too).  The
+    adjacency is not checked for symmetry here, which would cost about a
+    third of ``build_network``; the path measures check it, and a network
+    built by hand with a one-way edge is refused by them alone.  Since the
     network cannot change, ``centrality.stress1`` keeps its result on it
     (``_kept_stress1``, None until then), and ``normalized_st`` and
     ``run_protocol`` read it there.
@@ -78,9 +82,10 @@ class SensorNetwork:
 
 def _check_csr(n, indptr, indices):
     """ValueError unless ``indptr`` and ``indices`` are the CSR of n rows,
-    each strictly increasing with integer ids in 0..n-1: the sorted-rows
-    invariant that the graph kernels rely on.  One vectorized O(n + m) pass,
-    on the arrays as given, before any cast could wrap an id."""
+    each strictly increasing with integer ids in 0..n-1, so that no row
+    holds an id twice: the invariant that the graph kernels rely on, for
+    networks, adjacency lists and files alike.  One vectorized O(n + m)
+    pass, on the arrays as given, before any cast could wrap an id."""
     m = len(indices)
     if (indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != m
             or np.any(indptr[1:] < indptr[:-1])):
@@ -91,18 +96,12 @@ def _check_csr(n, indptr, indices):
         raise ValueError("adjacency ids must be integers")
     if indices.min() < 0 or indices.max() >= n:
         raise ValueError(f"adjacency holds ids outside 0..{n - 1}")
-    if not _rows_increase(indptr, indices):
-        raise ValueError("adjacency rows must be strictly increasing")
-
-
-def _rows_increase(indptr, indices):
-    """True if every row of the CSR ``indptr``, ``indices`` is strictly
-    increasing."""
     up = indices[1:] > indices[:-1]
     # each row but the first may start below the end of the one before
     starts = indptr[1:-1]
-    up[starts[(starts > 0) & (starts < len(indices))] - 1] = True
-    return bool(up.all())
+    up[starts[(starts > 0) & (starts < m)] - 1] = True
+    if not up.all():
+        raise ValueError("adjacency rows must be strictly increasing, with no id twice")
 
 
 def _read_only(a):
@@ -184,8 +183,8 @@ def ground_truth(network, band=None):
     if network.region is None:
         raise ValueError("network has no region; ground truth is undefined")
     b = network.radius if band is None else float(band)
-    if b <= 0:
-        raise ValueError("band width must be positive")
+    if not 0 < b < np.inf:  # false for nan
+        raise ValueError("band width must be positive and finite")
     d = geometry.distances_to_boundary(network.region, network.positions)
     return d < b
 
@@ -203,10 +202,13 @@ def ground_truth(network, band=None):
 # repeated edge is reported at its second occurrence.
 #
 # load_network parses a clean file in bulk: the header and the node lines
-# by readline, the edge lines in blocks tokenized with numpy.  Whatever the
-# bulk path does not take goes to the per-line scan ``_scan_lines``, which
-# alone decides what is an error and on which line.  The bulk path accepts
-# a subset of what the scan accepts and builds the same arrays from it.
+# by readline, the edge lines in blocks tokenized with numpy.  The bulk path
+# leaves repeated edges to the SensorNetwork constructor, whose
+# ``_check_csr`` finds them as a row that repeats an id.  A file that the
+# bulk path does not take, or whose arrays the constructor rejects, goes to
+# the per-line scan ``_scan_lines``, which decides on which line the error
+# is.  What the bulk path and the constructor accept, the scan accepts too
+# and builds the same arrays from.
 
 _EDGE_ROWS = 1 << 16     # edge lines formatted per write
 _READ_BYTES = 1 << 22    # edge bytes tokenized per block
@@ -233,9 +235,12 @@ def save_network(network, path):
 def load_network(path, region=None):
     """Read a network file; malformed input raises FileFormatError at its line."""
     arrays = _read_bulk(path)
-    if arrays is None:
-        arrays = _scan_lines(path)
-    return SensorNetwork(*arrays, region=region)
+    if arrays is not None:
+        try:
+            return SensorNetwork(*arrays, region=region)
+        except ValueError:  # a repeated edge, which the scan reports at its line
+            pass
+    return SensorNetwork(*_scan_lines(path), region=region)
 
 
 def _plain(buf):
@@ -273,7 +278,8 @@ def _decimal(buf, starts, ends):
 
 
 def _read_bulk(path):
-    """(positions, radius, indptr, indices) of a clean file, else None."""
+    """(positions, radius, indptr, indices) of a file that is clean but
+    for any repeated edge, else None."""
     with open(path, "rb") as fh:
         head = fh.readline()
         fields = head.split()
@@ -320,11 +326,7 @@ def _read_bulk(path):
             keys.append(u * n + v)
     key = np.concatenate(keys or [np.empty(0, dtype=np.int64)])
     del keys
-    indptr, indices = _csr_from_edge_keys(n, key)
-    # A repeated edge repeats a column within a row of the sorted CSR.
-    if not _rows_increase(indptr, indices):
-        return None
-    return pos, radius, indptr, indices
+    return (pos, radius, *_csr_from_edge_keys(n, key))
 
 
 def _scan_lines(path):

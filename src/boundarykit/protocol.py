@@ -39,10 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from ._arrays import distinct
-from .centrality import _adjacency, _blocks, _stress1, as_csr, st_from_stress1
+from .centrality import _adjacency, _blocks, _components, _stress1, as_csr, st_from_stress1
 from .theory import clipped_disk_area, neighborhood_st, sigma_interior
 
 RULES = ("core", "one-hop")
@@ -204,6 +203,8 @@ def _tree_phases(indptr, indices, adj, roots, participating, cap, trace):
     histograms), ``histograms[c]`` the {degree bucket: count} merged at
     ``roots[c]``, in bucket order.  Each round's work follows its messages.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     n = len(indptr) - 1
     degs = np.diff(indptr)
     has_nbrs = degs > 0
@@ -233,7 +234,7 @@ def _tree_phases(indptr, indices, adj, roots, participating, cap, trace):
     # (level) and everyone else with (level, parent), hence payloads 1 and 2;
     # a node's parent is its smallest neighbor one level up.  The weights
     # are ones, so distances are hop counts (unweighted=True copies them).
-    level = csgraph.dijkstra(adj, indices=roots, min_only=True).astype(np.int64)
+    level = dijkstra(adj, indices=roots, min_only=True).astype(np.int64)
     for depth, senders in enumerate(np.bincount(level[has_nbrs])):
         trace._log_round(2, senders, (1 if depth == 0 else 2) * senders)
     # the lowest (level, id) place in a row is the smallest neighbor one level up
@@ -293,10 +294,8 @@ def run_protocol(graph, config=None):
     degs = np.diff(indptr)
     adj = _adjacency(indptr, indices)
 
-    # The adjacency is symmetric, so its strong components are the connected
-    # components, found without the transpose that directed=False builds;
-    # the ids come ordered by each component's smallest node.
-    ncomp, comp = csgraph.connected_components(adj, directed=True, connection="strong")
+    # component ids come ordered by each component's smallest node
+    comp, sizes = _components(adj)
     comp = comp.astype(np.int64)
     trace = ProtocolTrace(n=n, component_id=comp, degrees=degs.astype(np.int64))
 
@@ -316,8 +315,7 @@ def run_protocol(graph, config=None):
                                              cap, trace)
 
     # -- phase 4: dhat and T at each root, flooded down the tree
-    thresholds = np.zeros(ncomp)
-    sizes = np.bincount(comp, minlength=ncomp)
+    thresholds = np.zeros(len(sizes))
     for ci, (root, hist) in enumerate(zip(roots.tolist(), histograms)):
         dense = np.zeros(cap + 2, dtype=np.int64)  # the overflow bucket last
         dense[list(hist)] = list(hist.values())
@@ -409,9 +407,9 @@ def boundary_strips(graph, labels):
     idx = np.flatnonzero(labels)
     if len(idx) == 0:
         return []
-    _, comp = csgraph.connected_components(adj[idx][:, idx], directed=False)
+    comp, sizes = _components(adj[idx][:, idx])
     # idx is ascending, so a stable sort by component keeps each strip sorted
-    strips = np.split(idx[np.argsort(comp, kind="stable")], np.cumsum(np.bincount(comp))[:-1])
+    strips = np.split(idx[np.argsort(comp, kind="stable")], np.cumsum(sizes)[:-1])
     strips.sort(key=lambda a: (-len(a), int(a[0])))
     return strips
 

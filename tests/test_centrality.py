@@ -486,18 +486,29 @@ def test_self_loops_fit_the_buffers(monkeypatch, budget):
         assert any(rows for rows, _, _ in fills) == (len(adj) > 2), fills
 
 
+def _strips(graph):
+    """boundary_strips with every node labelled boundary."""
+    n = graph.shape[0] if sp.issparse(graph) else len(graph)
+    return bk.boundary_strips(graph, np.ones(n, dtype=bool))
+
+
 @pytest.mark.parametrize("adj, match", [
     ([[1], []], "both of its ends"),
     ([[1, 2], [0], [1]], "both of its ends"),
     ([[1, 1], [0, 0]], "twice"),
     ([[2], [0]], "outside"),
     ([[-1]], "outside"),
+    ([[1.5], [0]], "integers"),  # once read as id 1
+    ([[1.0], [0.0]], "integers"),
+    ([[True], [False]], "integers"),
+    # once read through its indptr, unchecked, one-way edge and all
+    (sp.csr_array(np.array([[0, 1], [0, 0]])), "not a sparse array"),
 ])
 def test_malformed_adjacency_lists_rejected(adj, match):
-    with pytest.raises(ValueError, match=match):
-        centrality.as_csr(adj)
-    for measure in (bk.stress_centrality, bk.betweenness_centrality,
-                    partial(bk.restricted_stress, delta=1)):
+    # every public function that takes a graph
+    for measure in (centrality.as_csr, bk.stress_centrality, bk.betweenness_centrality,
+                    partial(bk.restricted_stress, delta=1), partial(bk.khop_size, k=1),
+                    bk.stress1, bk.normalized_st, bk.run_protocol, _strips):
         with pytest.raises(ValueError, match=match):
             measure(adj)
 

@@ -201,6 +201,12 @@ def test_protocol_with_region_prints_rates(tmp_path, region_file, capsys):
     text = capsys.readouterr().out
     assert "false_negative_rate=" in text
     assert "false_positive_rate=" in text
+    for band in ("nan", "inf", "0"):
+        rc = main(["protocol", "--network", str(netfile), "--region", str(region_file),
+                   "--band", band, "--out", str(tmp_path / "bad.csv")])
+        assert rc == 1
+        assert "band width must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "bad.csv").exists()
 
 
 def test_protocol_rule_one_hop(tmp_path, region_file):
@@ -280,6 +286,11 @@ def test_render_from_centrality(triangle_file, tmp_path):
                "--centrality", str(vals), "--out", str(svg)])
     assert rc == 0
     assert svg.read_text().count("<circle") == 3
+    for size in ("nan", "-1"):
+        rc = main(["render", "--network", str(triangle_file), "--centrality", str(vals),
+                   "--point-size", size, "--out", str(tmp_path / "bad.svg")])
+        assert rc == 1
+        assert not (tmp_path / "bad.svg").exists()
 
 
 def test_render_from_classification(triangle_file, tmp_path, region_file):

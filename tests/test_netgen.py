@@ -240,8 +240,9 @@ def test_ground_truth_requires_region():
 def test_ground_truth_band_positive():
     reg = bk.PolygonRegion([(0, 0), (2, 0), (2, 2), (0, 2)])
     net = bk.build_network(reg, 10, 0.5, seed=1)
-    with pytest.raises(ValueError):
-        bk.ground_truth(net, band=0.0)
+    for band in (0.0, float("nan"), float("inf")):  # nan once labelled every node interior
+        with pytest.raises(ValueError, match="positive and finite"):
+            bk.ground_truth(net, band=band)
 
 
 # -- network files -----------------------------------------------------------
@@ -355,6 +356,26 @@ def test_clean_file_skips_line_scan(tmp_path, monkeypatch):
     net2 = bk.load_network(p)
     assert np.array_equal(net2.indptr, net.indptr)
     assert np.array_equal(net2.indices, net.indices)
+
+
+def test_file_rows_checked_once(tmp_path, monkeypatch):
+    # the constructor's _check_csr is the one row check of a file that the
+    # bulk reader takes; a repeated edge gets past that reader, and the
+    # line scan then names its second line
+    checks, scans = [], []
+    check, scan = netgen._check_csr, netgen._scan_lines
+    monkeypatch.setattr(netgen, "_check_csr", lambda *a: checks.append(a) or check(*a))
+    monkeypatch.setattr(netgen, "_scan_lines", lambda p: scans.append(p) or scan(p))
+    p = tmp_path / "net.txt"
+    p.write_text(NET_TEXT_OK)
+    bk.load_network(p)
+    assert (len(checks), len(scans)) == (1, 0)
+    p.write_text(NET_TEXT_OK + "\n0 1\n")
+    checks.clear()
+    with pytest.raises(FileFormatError, match="duplicate edge") as e:
+        bk.load_network(p)
+    assert e.value.line == 6
+    assert (len(checks), len(scans)) == (1, 1)
 
 
 def test_save_network_bytes(tmp_path, monkeypatch):

@@ -126,6 +126,15 @@ def test_empty_graph_rejected():
         default_run([])
 
 
+def test_import_leaves_out_csgraph(modules_after):
+    # csgraph, whose import loads scipy.linalg, comes with the first run
+    def csgraph_after(code):
+        return {m for m in modules_after(code) if m.startswith("scipy.sparse.csgraph")}
+
+    assert csgraph_after("import boundarykit.protocol") == set()
+    assert csgraph_after("import boundarykit as bk\nbk.run_protocol([[1], [0]])")
+
+
 # -- tree properties ---------------------------------------------------------
 
 

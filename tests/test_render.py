@@ -76,6 +76,17 @@ def test_point_size_override(tmp_path):
     assert 'r="9.5"' in p.read_text()
 
 
+@pytest.mark.parametrize("size", [0.0, -1.0, float("nan"), float("inf")])
+def test_point_size_must_be_positive_and_finite(tmp_path, size):
+    p = tmp_path / "out.svg"
+    with pytest.raises(ValueError, match="point size"):
+        bk.render_centrality(tiny_net(), np.array([0.0, 1.0, 2.0]), p, point_size=size)
+    with pytest.raises(ValueError, match="point size"):
+        bk.render_classification(tiny_net(), np.array([True, False, True]), p,
+                                 point_size=size)
+    assert not p.exists()
+
+
 def test_ramp_color_endpoints():
     assert bk.ramp_color(0.0) == "#1a1a40"
     assert bk.ramp_color(1.0) == "#f5e982"
