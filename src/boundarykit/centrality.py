@@ -80,7 +80,12 @@ def as_csr(graph):
     n = len(graph)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, graph), dtype=np.int64, count=n), out=indptr[1:])
-    indices = np.concatenate([np.sort(a) for a in graph if len(a)] or [np.empty(0, np.int64)])
+    rows = [np.sort(a) for a in graph if len(a)]
+    if any(row.dtype.kind not in "iu" for row in rows):
+        raise ValueError("adjacency ids must be integers")
+    # cast to int64 here, as numpy would promote uint64 and signed rows to
+    # float64; an id of 2**63 or more wraps negative, which _check_csr refuses
+    indices = np.concatenate(rows or [np.empty(0, np.int64)], dtype=np.int64, casting="unsafe")
     _check_csr(n, indptr, indices)
     dtype = _index_dtype(n, len(indices))
     indptr, indices = indptr.astype(dtype), indices.astype(dtype, copy=False)
@@ -122,7 +127,8 @@ def _rcm_csr(indptr, indices):
     """
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    perm = reverse_cuthill_mckee(_adjacency(indptr, indices, bool), symmetric_mode=True)
+    a = _adjacency(indptr, indices, bool)
+    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
     label, size = _components(_adjacency(indptr, indices))
     n = len(perm)
     label = label[perm]
@@ -132,14 +138,7 @@ def _rcm_csr(indptr, indices):
     perm, label = perm[order], label[order]
     cuts = np.flatnonzero(np.diff(label, prepend=-1, append=-1)).astype(indices.dtype)
     runs = np.diff(cuts)
-    inv = np.empty(n, dtype=indices.dtype)
-    inv[perm] = np.arange(n, dtype=indices.dtype)
-    # one gather takes old row perm[i] as new row i
-    degs = np.diff(indptr)[perm]
-    ptr = np.zeros_like(indptr)
-    np.cumsum(degs, out=ptr[1:])
-    at = np.repeat(indptr[perm] - ptr[:-1], degs) + np.arange(ptr[-1])
-    a = _adjacency(ptr, inv[indices[at]], bool)
+    a = a[perm][:, perm]
     a.sort_indices()
     return perm, a.indptr, a.indices, np.repeat(cuts[:-1], runs), np.repeat(cuts[1:], runs)
 

@@ -13,7 +13,9 @@ scipy import.
 
 from __future__ import annotations
 
+import io
 import itertools
+import warnings
 
 import numpy as np
 
@@ -201,23 +203,27 @@ def ground_truth(network, band=None):
 # A malformed file raises FileFormatError with its 1-based line number; a
 # repeated edge is reported at its second occurrence.
 #
-# load_network parses a clean file in bulk: the header and the node lines
-# by readline, the edge lines in blocks tokenized with numpy.  The bulk path
-# leaves repeated edges to the SensorNetwork constructor, whose
-# ``_check_csr`` finds them as a row that repeats an id.  A file that the
-# bulk path does not take, or whose arrays the constructor rejects, goes to
-# the per-line scan ``_scan_lines``, which decides on which line the error
-# is.  What the bulk path and the constructor accept, the scan accepts too
-# and builds the same arrays from.
+# load_network parses a clean file in bulk: the header by readline, the n
+# node lines with one np.loadtxt call, and the edge lines in blocks of about
+# _READ_BYTES, each completed to a line end and parsed with np.loadtxt.  Any
+# line that loadtxt does not take, or any warning from it, makes the file
+# not clean.  The bulk path leaves repeated edges to the SensorNetwork
+# constructor, whose ``_check_csr`` finds them as a row that repeats an id.
+# A file that the bulk path does not take, or whose arrays the constructor
+# rejects, goes to the per-line scan ``_scan_lines``, which decides on which
+# line the error is.  What the bulk path and the constructor accept, the
+# scan accepts too and builds the same arrays from: loadtxt parses ints and
+# floats as int() and float() do, bit for bit, but takes fewer spellings
+# (no "1_0"), and those go to the scan.
 
 _EDGE_ROWS = 1 << 16     # edge lines formatted per write
-_READ_BYTES = 1 << 22    # edge bytes tokenized per block
+_READ_BYTES = 1 << 22    # edge bytes parsed per block
 # Bytes the bulk path takes: printable ASCII, tab and line ends.  Any other
-# byte (non-ASCII text, or a form feed, at which splitlines() breaks a line)
-# sends the file to the per-line scan.
+# byte (non-ASCII text, or a form feed, at which splitlines() breaks a line
+# and loadtxt does not) sends the file to the per-line scan.
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\t\r\n"
-_EDGE_BYTES = b"0123456789 \t\r\n"
-_MAX_DIGITS = 18         # longer fields may not fit int64
+_EDGE_BYTES = b"0123456789 \t\r\n"  # no sign, so every edge id read is >= 0
+_NODE_ROW = np.dtype([("id", np.int64), ("xy", np.float64, 2)])
 
 
 def save_network(network, path):
@@ -248,33 +254,16 @@ def _plain(buf):
     return not buf.translate(None, _PLAIN) and buf.count(b"\r") == buf.count(b"\r\n")
 
 
-def _fields(buf):
-    """Offsets of the whitespace-separated fields of a plain ``buf`` and the
-    number of fields on each of its lines."""
-    b = np.frombuffer(buf, np.uint8)
-    tok = np.concatenate(([False], b > 32, [False]))
-    starts = np.flatnonzero(tok[1:] > tok[:-1])
-    ends = np.flatnonzero(tok[:-1] > tok[1:])
-    line_ends = np.flatnonzero(b == 10)
-    if len(b) and b[-1] != 10:
-        line_ends = np.append(line_ends, len(b))
-    counts = np.diff(np.searchsorted(starts, line_ends), prepend=0)
-    return starts, ends, counts
-
-
-def _decimal(buf, starts, ends):
-    """int64 values of the all-digit fields buf[starts:ends], or None where a
-    field is longer than ``_MAX_DIGITS``."""
-    b = np.frombuffer(buf, np.uint8)
-    width = ends - starts
-    longest = int(width.max(initial=0))
-    if longest > _MAX_DIGITS:
-        return None
-    val = np.zeros(len(starts), dtype=np.int64)
-    for j in range(1, longest + 1):
-        digit = b[ends - j].astype(np.int64) - 48
-        val += np.where(width >= j, digit, 0) * 10 ** (j - 1)
-    return val
+def _loadtxt(buf, dtype, ndmin):
+    """The lines of the plain ``buf`` parsed by ``np.loadtxt`` into rows of
+    ``dtype``, or None if it raises or warns (a line that does not parse,
+    lines of unequal field counts, or no data)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(io.BytesIO(buf), dtype=dtype, comments=None, ndmin=ndmin)
+        except (ValueError, Warning):
+            return None
 
 
 def _read_bulk(path):
@@ -294,33 +283,22 @@ def _read_bulk(path):
         nodes = b"".join(itertools.islice(iter(fh.readline, b""), n))
         if not _plain(nodes):
             return None
-        counts = _fields(nodes)[2]
-        if len(counts) != n or np.any(counts != 3):
+        rows = _loadtxt(nodes, _NODE_ROW, 1) if n else np.empty(0, _NODE_ROW)
+        # loadtxt skips blank lines, so a blank node line leaves fewer rows
+        if rows is None or len(rows) != n or np.any(rows["id"] != np.arange(n)):
             return None
-        fields = nodes.split()
-        del nodes
-        try:
-            if list(map(int, fields[0::3])) != list(range(n)):
-                return None
-            del fields[0::3]
-            pos = np.fromiter(map(float, fields), np.float64, 2 * n).reshape(n, 2)
-        except ValueError:
-            return None
+        pos = np.ascontiguousarray(rows["xy"])
         if not np.isfinite(pos).all():
             return None
-        del fields  # the node fields would stay resident while the edges are read
         keys = []
         while block := fh.read(_READ_BYTES):
             block += fh.readline()
             if block.translate(None, _EDGE_BYTES) or not _plain(block):
                 return None
-            starts, ends, counts = _fields(block)
-            if np.any((counts != 0) & (counts != 2)):
+            uv = _loadtxt(block, np.int64, 2)
+            if uv is None or uv.shape[1] != 2:
                 return None
-            val = _decimal(block, starts, ends)
-            if val is None:
-                return None
-            u, v = val[0::2], val[1::2]
+            u, v = uv.T
             if np.any(u >= v) or np.any(v >= n):
                 return None
             keys.append(u * n + v)

@@ -503,6 +503,9 @@ def _strips(graph):
     ([[True], [False]], "integers"),
     # once read through its indptr, unchecked, one-way edge and all
     (sp.csr_array(np.array([[0, 1], [0, 0]])), "not a sparse array"),
+    ([np.array([2**63], np.uint64), [0]], "outside"),  # past int64, wraps negative
+    ([np.array([1], np.uint64), [False]], "integers"),
+    ([np.array([1], np.uint64), [0.0]], "integers"),
 ])
 def test_malformed_adjacency_lists_rejected(adj, match):
     # every public function that takes a graph
@@ -511,6 +514,15 @@ def test_malformed_adjacency_lists_rejected(adj, match):
                     bk.stress1, bk.normalized_st, bk.run_protocol, _strips):
         with pytest.raises(ValueError, match=match):
             measure(adj)
+
+
+def test_mixed_integer_rows_accepted():
+    # numpy promotes uint64 with signed rows to float64; as_csr must not
+    adj = [np.array([1, 2], np.uint64), np.array([0], np.int8), [0]]
+    indptr, indices = centrality.as_csr(adj)
+    assert indptr.tolist() == [0, 2, 3, 4] and indices.tolist() == [1, 2, 0, 0]
+    assert indptr.dtype == indices.dtype == np.int32
+    assert bk.stress1([np.array([1], np.uint64), [0]]).tolist() == [0, 0]
 
 
 def test_one_way_network_rejected():

@@ -1,6 +1,7 @@
 """Unit-disk construction, degree calibration, ground truth, network files."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,16 +347,49 @@ def test_load_network_accepts(tmp_path, text):
     assert net.indices.dtype == np.int32
 
 
-def test_clean_file_skips_line_scan(tmp_path, monkeypatch):
-    reg = bk.square_with_hole(6.0, 2.0)
-    net = bk.build_network(reg, 300, 1.0, seed=4)
+@pytest.mark.parametrize("text", [
+    None,                                                        # a saved network
+    "2 1.0\r\n0 0.0 0.0\r\n1 0.5 0.0\r\n0 1\r\n",                # CRLF
+    "3 1.0\n0 0.0 0.0\n1 0.5 0.0\n2 1.0 0.0\n\n0 1\n \n\n1 2\n\n",  # blank lines
+    "2 1.0\n0 0.0 0.0\n1 0.5 0.0\n0 1",                          # no final newline
+    "2 1.0\n0 0.0 0.0\n1 0.5 0.0\n",                             # no edges
+    "2 1.0\n0 0.0 0.0\n1 0.5 0.0",                               # nor final newline
+    "0 1.0\n",                                                   # n = 0
+    "0 1.0",
+    "2\t1.0\n0\t0.0 0.0\t\n1 0.5\t0.0\n\t0\t 1  \n",              # tabs, spaces
+], ids=["saved", "crlf", "blank lines", "no final newline", "no edges",
+        "no edges nor newline", "n = 0", "n = 0 no newline", "tabs"])
+def test_clean_file_skips_line_scan(tmp_path, monkeypatch, text):
     p = tmp_path / "net.txt"
-    bk.save_network(net, p)
+    if text is None:
+        bk.save_network(bk.build_network(bk.square_with_hole(6.0, 2.0), 300, 1.0, seed=4), p)
+    else:
+        p.write_bytes(text.encode())
+    radius, pos, edges = oracles.load_network_lines(p)
     monkeypatch.setattr(netgen, "_scan_lines", None)  # calling it would raise
     monkeypatch.setattr(netgen, "_READ_BYTES", 64)   # edges in many blocks
-    net2 = bk.load_network(p)
-    assert np.array_equal(net2.indptr, net.indptr)
-    assert np.array_equal(net2.indices, net.indices)
+    net = bk.load_network(p)
+    assert net.radius == radius
+    assert net.positions.tobytes() == pos.tobytes()
+    assert net.edges().tolist() == [list(e) for e in edges]
+
+
+def test_load_network_memory(tmp_path):
+    # the reader holds a few arrays the size of the edges at a time, so its
+    # peak stays within a few times the file size (about 5 here, counting a
+    # 4 MB read buffer); per-field offset arrays took it past 10
+    net =bk.build_network(bk.square_with_hole(30.0, 21.4), 8000, 1.0, seed=3)
+    p = tmp_path / "net.txt"
+    bk.save_network(net, p)
+    size = p.stat().st_size
+    tracemalloc.start()
+    try:
+        bk.load_network(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 2_000_000
+    assert peak < 6 * size, (peak, size)
 
 
 def test_file_rows_checked_once(tmp_path, monkeypatch):
