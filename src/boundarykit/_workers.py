@@ -1,8 +1,10 @@
-"""Thread counts for the parallel kernels, without importing scipy."""
+"""Thread counts and the thread pool of the parallel kernels, scipy-free."""
 
 from __future__ import annotations
 
 import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 WORKERS_ENV = "BOUNDARYKIT_WORKERS"
 
@@ -23,3 +25,19 @@ def resolve_workers(workers=None):
             raise ValueError(f"{WORKERS_ENV} must be >= 1, got {w}")
         return w
     return os.cpu_count() or 1
+
+
+def ordered_map(fn, items, workers):
+    """``fn`` over ``items`` in their order: ``map`` for one worker, else on ``workers``
+    threads, with at most 2 * workers calls submitted and not yet yielded."""
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        pending = deque()
+        for item in items:
+            pending.append(ex.submit(fn, item))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()

@@ -35,8 +35,6 @@ instead.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
@@ -49,7 +47,7 @@ from scipy.sparse._sparsetools import csr_matmat, csr_todense
 
 # the thread-count helpers live in a scipy-free module, so that theory can use
 # them; callers of the path measures import them from here
-from ._workers import WORKERS_ENV, resolve_workers
+from ._workers import WORKERS_ENV, ordered_map, resolve_workers
 from .errors import NumericalError
 from .netgen import SensorNetwork, _check_csr, _index_dtype
 
@@ -381,8 +379,7 @@ def _run_sources(graph, dtype, depth, block_sum, workers):
     no sources.  A block holds consecutive sources whose rows times largest
     component, the size of its ``_Span``, is at most _ENTRY_BUDGET (or a
     single source); its slots and levels stay within that many entries
-    whatever n is.  Blocks run on ``workers`` threads with at most
-    2 * workers of them submitted and not yet summed.
+    whatever n is.  Blocks run on ``workers`` threads (``ordered_map``).
     """
     indptr, indices = as_csr(graph)
     if isinstance(graph, SensorNetwork):  # as_csr checks adjacency lists
@@ -416,16 +413,7 @@ def _run_sources(graph, dtype, depth, block_sum, workers):
         return total
 
     w = min(resolve_workers(workers), len(blocks))
-    if w == 1:
-        total = reduce(add, map(run, blocks), None)
-    else:
-        with ThreadPoolExecutor(max_workers=w) as ex:
-            pending, total = deque(), None
-            for block in blocks:
-                pending.append(ex.submit(run, block))
-                if len(pending) > 2 * w:  # bounds the block sums held at once
-                    total = add(total, pending.popleft().result())
-            total = reduce(add, (f.result() for f in pending), total)
+    total = reduce(add, ordered_map(run, blocks, w), None)
     if perm is None:
         return total
     out = np.empty_like(total)

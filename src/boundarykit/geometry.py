@@ -335,11 +335,11 @@ def loads_region(text, path=None):
     def read_ring(label):
         i, s = next_line(f"{label} vertex count")
         count = _parse_int(s, i, path, f"{label} vertex count")
-        verts = np.empty((count, 2))
+        verts = []  # built from the lines read, as the count may exceed them
         for k in range(count):
             i, s = next_line(f"vertex {k + 1} of {label}")
-            verts[k] = _parse_vertex(s, i, path)
-        return verts
+            verts.append(_parse_vertex(s, i, path))
+        return np.reshape(verts, (-1, 2))
 
     outer = read_ring("outer ring")
     i, s = next_line("hole count")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 import itertools
-import warnings
+import os
 
 import numpy as np
 
@@ -204,10 +204,11 @@ def ground_truth(network, band=None):
 # repeated edge is reported at its second occurrence.
 #
 # load_network parses a clean file in bulk: the header by readline, the n
-# node lines with one np.loadtxt call, and the edge lines in blocks of about
-# _READ_BYTES, each completed to a line end and parsed with np.loadtxt.  Any
-# line that loadtxt does not take, or any warning from it, makes the file
-# not clean.  The bulk path leaves repeated edges to the SensorNetwork
+# node lines with one np.loadtxt call, and the edge lines with one more, on
+# the file past its first n + 1 lines.  Any line that loadtxt does not take
+# makes the file not clean.  No input on which loadtxt warns reaches it: a
+# section of blank lines only is decided first, and numpy >= 2 raises on a
+# float id.  The bulk path leaves repeated edges to the SensorNetwork
 # constructor, whose ``_check_csr`` finds them as a row that repeats an id.
 # A file that the bulk path does not take, or whose arrays the constructor
 # rejects, goes to the per-line scan ``_scan_lines``, which decides on which
@@ -217,12 +218,12 @@ def ground_truth(network, band=None):
 # (no "1_0"), and those go to the scan.
 
 _EDGE_ROWS = 1 << 16     # edge lines formatted per write
-_READ_BYTES = 1 << 22    # edge bytes parsed per block
 # Bytes the bulk path takes: printable ASCII, tab and line ends.  Any other
 # byte (non-ASCII text, or a form feed, at which splitlines() breaks a line
 # and loadtxt does not) sends the file to the per-line scan.
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\t\r\n"
-_EDGE_BYTES = b"0123456789 \t\r\n"  # no sign, so every edge id read is >= 0
+# np.loadtxt opens a path with one of these suffixes through a decompressor
+_PACKED = (".gz", ".bz2", ".xz", ".lzma")
 _NODE_ROW = np.dtype([("id", np.int64), ("xy", np.float64, 2)])
 
 
@@ -254,21 +255,18 @@ def _plain(buf):
     return not buf.translate(None, _PLAIN) and buf.count(b"\r") == buf.count(b"\r\n")
 
 
-def _loadtxt(buf, dtype, ndmin):
-    """The lines of the plain ``buf`` parsed by ``np.loadtxt`` into rows of
-    ``dtype``, or None if it raises or warns (a line that does not parse,
-    lines of unequal field counts, or no data)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return np.loadtxt(io.BytesIO(buf), dtype=dtype, comments=None, ndmin=ndmin)
-        except (ValueError, Warning):
-            return None
+def _blank(buf):
+    """True if ``buf`` is all whitespace, on which np.loadtxt warns of no data."""
+    return buf.isspace() or not buf
 
 
 def _read_bulk(path):
     """(positions, radius, indptr, indices) of a file that is clean but
     for any repeated edge, else None."""
+    path = os.fsdecode(path)
+    # loadtxt opens the path anew (a pipe reads once) and decompresses _PACKED ones
+    if path.endswith(_PACKED) or not os.path.isfile(path):
+        return None
     with open(path, "rb") as fh:
         head = fh.readline()
         fields = head.split()
@@ -281,29 +279,28 @@ def _read_bulk(path):
         if n < 0 or n * n >= 2**63 or not 0 < radius < np.inf:  # keys u * n + v fit int64
             return None
         nodes = b"".join(itertools.islice(iter(fh.readline, b""), n))
-        if not _plain(nodes):
-            return None
-        rows = _loadtxt(nodes, _NODE_ROW, 1) if n else np.empty(0, _NODE_ROW)
-        # loadtxt skips blank lines, so a blank node line leaves fewer rows
-        if rows is None or len(rows) != n or np.any(rows["id"] != np.arange(n)):
-            return None
-        pos = np.ascontiguousarray(rows["xy"])
-        if not np.isfinite(pos).all():
-            return None
-        keys = []
-        while block := fh.read(_READ_BYTES):
-            block += fh.readline()
-            if block.translate(None, _EDGE_BYTES) or not _plain(block):
-                return None
-            uv = _loadtxt(block, np.int64, 2)
-            if uv is None or uv.shape[1] != 2:
-                return None
-            u, v = uv.T
-            if np.any(u >= v) or np.any(v >= n):
-                return None
-            keys.append(u * n + v)
-    key = np.concatenate(keys or [np.empty(0, dtype=np.int64)])
-    del keys
+        edges = fh.read()
+    if not (_plain(nodes) and _plain(edges)) or (n and _blank(nodes)):
+        return None
+    blank = _blank(edges)
+    del edges
+    try:
+        rows = (np.loadtxt(io.BytesIO(nodes), _NODE_ROW, comments=None, ndmin=1)
+                if n else np.empty(0, _NODE_ROW))
+        # a path, unlike a file object, gets loadtxt's chunked reader
+        uv = (np.empty((0, 2), np.int64) if blank else
+              np.loadtxt(path, np.int64, comments=None, skiprows=n + 1, ndmin=2))
+    except ValueError:
+        return None
+    # loadtxt skips blank lines, so a blank node line leaves fewer rows
+    if len(rows) != n or np.any(rows["id"] != np.arange(n)) or uv.shape[1] != 2:
+        return None
+    pos = np.ascontiguousarray(rows["xy"])
+    u, v = uv.T
+    if not np.isfinite(pos).all() or np.any(u < 0) or np.any(u >= v) or np.any(v >= n):
+        return None
+    key = u * n + v  # numpy adds into the temporary u * n
+    del uv, u, v  # the (m, 2) rows go before the CSR is built
     return (pos, radius, *_csr_from_edge_keys(n, key))
 
 

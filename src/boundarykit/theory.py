@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._arrays import distinct
-from ._workers import resolve_workers
+from ._workers import ordered_map, resolve_workers
 from .errors import BinningMismatchError
 
 _BATCH = 10_000
@@ -178,6 +177,8 @@ class StDistribution:
             lows.append(float(a))
             highs.append(float(b))
             counts.append(int(c))
+        if not lows or lows[1:] != highs[:-1]:
+            raise ValueError(f"{path}: expected bins that abut, got {len(lows)} rows")
         edges = np.array(lows + [highs[-1]])
         return cls(s=float(meta["s"]), mu=float(meta["mu"]),
                    samples=int(meta["samples"]), bin_edges=edges,
@@ -282,12 +283,7 @@ def sample_st(s, mu, samples, seed, workers=None):
     seeds = np.random.SeedSequence(seed).spawn(nbatch)
     counts = [_BATCH] * (nbatch - 1) + [samples - _BATCH * (nbatch - 1)]
     w = min(resolve_workers(workers), nbatch)
-    if w <= 1:
-        results = [_sample_batch(sd, c, s, lam) for sd, c in zip(seeds, counts)]
-    else:
-        with ThreadPoolExecutor(max_workers=w) as ex:
-            results = list(ex.map(lambda a: _sample_batch(*a),
-                                  [(sd, c, s, lam) for sd, c in zip(seeds, counts)]))
+    results = ordered_map(lambda batch: _sample_batch(*batch, s, lam), zip(seeds, counts), w)
     hist = np.zeros(_DEFAULT_BINS, dtype=np.int64)
     total = 0.0
     total2 = 0.0

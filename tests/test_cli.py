@@ -74,6 +74,15 @@ def test_generate_malformed_region(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_generate_region_count_beyond_file(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("99999999999999\n0 0\n")
+    rc = main(["generate", "--region", str(bad), "--nodes", "5",
+               "--radius", "0.2", "--seed", "1", "--out", str(tmp_path / "x.txt")])
+    assert rc == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_generate_missing_region(tmp_path):
     rc = main(["generate", "--region", str(tmp_path / "nope.txt"), "--nodes", "5",
                "--radius", "0.2", "--seed", "1", "--out", str(tmp_path / "x.txt")])

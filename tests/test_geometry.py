@@ -266,6 +266,13 @@ def test_region_truncated():
         bk.loads_region("4\n0 0\n1 0\n")
 
 
+def test_region_count_beyond_file():
+    # a ring holds the vertices read, not the count, which is never allocated
+    with pytest.raises(FileFormatError) as e:
+        bk.loads_region("99999999999999\n0 0\n1 0\n")
+    assert e.value.line == 3
+
+
 def test_region_trailing_garbage():
     with pytest.raises(FileFormatError):
         bk.loads_region("3\n0 0\n1 0\n0 1\n0\nextra line\n")

@@ -1,7 +1,10 @@
 """Unit-disk construction, degree calibration, ground truth, network files."""
 
 import math
+import os
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -357,8 +360,11 @@ def test_load_network_accepts(tmp_path, text):
     "0 1.0\n",                                                   # n = 0
     "0 1.0",
     "2\t1.0\n0\t0.0 0.0\t\n1 0.5\t0.0\n\t0\t 1  \n",              # tabs, spaces
+    "2 1.0\n0 0.0 0.0\n1 0.5 0.0\n\n \n\t\n",                       # blank edge lines only
+    "2 1.0\n0 0.0 0.0\n1 0.5 0.0\n+0 1\n",                          # signed edge id
 ], ids=["saved", "crlf", "blank lines", "no final newline", "no edges",
-        "no edges nor newline", "n = 0", "n = 0 no newline", "tabs"])
+        "no edges nor newline", "n = 0", "n = 0 no newline", "tabs", "blank edge lines",
+        "signed edge id"])
 def test_clean_file_skips_line_scan(tmp_path, monkeypatch, text):
     p = tmp_path / "net.txt"
     if text is None:
@@ -367,7 +373,6 @@ def test_clean_file_skips_line_scan(tmp_path, monkeypatch, text):
         p.write_bytes(text.encode())
     radius, pos, edges = oracles.load_network_lines(p)
     monkeypatch.setattr(netgen, "_scan_lines", None)  # calling it would raise
-    monkeypatch.setattr(netgen, "_READ_BYTES", 64)   # edges in many blocks
     net = bk.load_network(p)
     assert net.radius == radius
     assert net.positions.tobytes() == pos.tobytes()
@@ -376,8 +381,8 @@ def test_clean_file_skips_line_scan(tmp_path, monkeypatch, text):
 
 def test_load_network_memory(tmp_path):
     # the reader holds a few arrays the size of the edges at a time, so its
-    # peak stays within a few times the file size (about 5 here, counting a
-    # 4 MB read buffer); per-field offset arrays took it past 10
+    # peak stays within a few times the file size (about 3 here, counting
+    # the edge bytes it filters); per-field offset arrays took it past 10
     net =bk.build_network(bk.square_with_hole(30.0, 21.4), 8000, 1.0, seed=3)
     p = tmp_path / "net.txt"
     bk.save_network(net, p)
@@ -390,6 +395,59 @@ def test_load_network_memory(tmp_path):
         tracemalloc.stop()
     assert size > 2_000_000
     assert peak < 6 * size, (peak, size)
+
+
+def test_load_network_leaves_warning_filters_alone(tmp_path):
+    # before Python 3.14 every thread shares the warning filters, so a reader
+    # that set them to "error" would raise the warnings another thread ignores
+    p = tmp_path / "net.txt"
+    bk.save_network(bk.build_network(bk.square_with_hole(10.0, 3.0), 2000, 1.0, seed=5), p)
+    stop, raised = threading.Event(), []
+
+    def divide():
+        with np.errstate(divide="warn"):
+            while not stop.is_set():
+                try:
+                    np.divide(1.0, 0.0)
+                except RuntimeWarning as e:
+                    raised.append(e)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        filters = list(warnings.filters)
+        other = threading.Thread(target=divide)
+        other.start()
+        try:
+            for _ in range(10):
+                bk.load_network(p)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert warnings.filters == filters
+    assert not raised
+
+
+@pytest.mark.parametrize("name", ["net.gz", "net.bz2", "net.xz", "net.lzma"])
+def test_load_network_plain_file_with_archive_suffix(tmp_path, name):
+    # np.loadtxt would decompress such a path, so the line scan reads it
+    p = tmp_path / name
+    p.write_text(NET_TEXT_OK)
+    assert adjacency_lists(bk.load_network(p)) == [[1], [0]]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_network_from_pipe(tmp_path):
+    # a pipe can be read once, and a second open would wait for a writer
+    p = tmp_path / "net.fifo"
+    os.mkfifo(p)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(bk.load_network(p)), daemon=True)
+    reader.start()
+    p.write_text(NET_TEXT_OK)  # opens once the reader has
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert adjacency_lists(got[0]) == [[1], [0]]
 
 
 def test_file_rows_checked_once(tmp_path, monkeypatch):
@@ -473,8 +531,8 @@ def _repeated_edge_line(text, n):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_corrupted_network_file(), st_.sampled_from([1 << 22, 5, 16]))
-def test_load_network_matches_line_reader(tmp_path_factory, case, block):
+@given(_corrupted_network_file())
+def test_load_network_matches_line_reader(tmp_path_factory, case):
     net, kind, text = case
     p = tmp_path_factory.mktemp("net") / "net.txt"
     p.write_bytes(text.encode())
@@ -482,17 +540,15 @@ def test_load_network_matches_line_reader(tmp_path_factory, case, block):
         want = oracles.load_network_lines(p)
     except FileFormatError as e:
         want = e
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(netgen, "_READ_BYTES", block)
-        if isinstance(want, FileFormatError):
-            with pytest.raises(FileFormatError) as e:
-                bk.load_network(p)
-            line = want.line
-            if str(want).endswith("duplicate edge in file"):
-                line = _repeated_edge_line(text, int(text.split()[0]))
-            assert e.value.line == line
-            return
-        got = bk.load_network(p)
+    if isinstance(want, FileFormatError):
+        with pytest.raises(FileFormatError) as e:
+            bk.load_network(p)
+        line = want.line
+        if str(want).endswith("duplicate edge in file"):
+            line = _repeated_edge_line(text, int(text.split()[0]))
+        assert e.value.line == line
+        return
+    got = bk.load_network(p)
     radius, pos, edges = want
     assert np.float64(got.radius).tobytes() == np.float64(radius).tobytes()
     assert got.positions.tobytes() == pos.tobytes()

@@ -305,6 +305,15 @@ def test_distribution_csv_round_trip(tmp_path):
     assert d2.stddev == pytest.approx(d.stddev, abs=1e-12)
 
 
+@pytest.mark.parametrize("rows", ["\n", "0.0,0.5,1\n0.7,1.0,2\n"], ids=["no bins", "gap"])
+def test_distribution_csv_malformed_bins(tmp_path, rows):
+    p = tmp_path / "dist.csv"
+    p.write_text('# {"s": 0.4, "mu": 25.0, "samples": 3, "mean": 0.5, "stddev": 0.1}\n'
+                 "bin_low,bin_high,count\n" + rows)
+    with pytest.raises(ValueError, match="bins that abut"):
+        bk.StDistribution.from_csv(p)
+
+
 def test_distribution_csv_header(tmp_path):
     d = bk.sample_st(0.4, 25.0, 100, seed=6)
     p = tmp_path / "dist.csv"
