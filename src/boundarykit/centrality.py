@@ -470,7 +470,7 @@ def khop_size(graph, k):
     return out
 
 
-def restricted_stress(graph, delta):
+def restricted_stress(graph, delta, workers=None):
     """Stress restricted to endpoint pairs within hop distance ``delta`` of the node.
 
     Shortest paths are full-graph shortest paths; only the endpoints are
@@ -482,7 +482,7 @@ def restricted_stress(graph, delta):
     # a target at DAG depth i <= delta below a node at level j <= delta is
     # within delta hops of it, and lies at level j + i <= 2 * delta
     sums = partial(_path_count_sums, delta=delta)
-    return _join(_run_sources(graph, np.int64, 2 * delta, sums, None))
+    return _join(_run_sources(graph, np.int64, 2 * delta, sums, workers))
 
 
 def stress1(graph):
@@ -537,9 +537,9 @@ def normalized_st(graph):
 
 _MEASURES = {
     "khop": (khop_size, ("k",)),
-    "stress": (stress_centrality, ()),
-    "betweenness": (betweenness_centrality, ()),
-    "rstress": (restricted_stress, ("delta",)),
+    "stress": (stress_centrality, ("workers",)),
+    "betweenness": (betweenness_centrality, ("workers",)),
+    "rstress": (restricted_stress, ("delta", "workers")),
     "stress1": (stress1, ()),
     "st": (normalized_st, ()),
 }
@@ -569,18 +569,10 @@ def compute(graph, measure, k=None, delta=None, workers=None):
                          f"choose from {', '.join(sorted(_MEASURES))}")
     func, needed = _MEASURES[measure]
     params = {}
-    if "k" in needed:
-        if k is None:
-            raise ValueError("measure 'khop' requires k")
-        params["k"] = int(k)
-        values = func(graph, int(k))
-    elif "delta" in needed:
-        if delta is None:
-            raise ValueError("measure 'rstress' requires delta")
-        params["delta"] = int(delta)
-        values = func(graph, int(delta))
-    elif measure in ("stress", "betweenness"):
-        values = func(graph, workers=workers)
-    else:
-        values = func(graph)
-    return CentralityResult(measure, values, params)
+    for name, value in (("k", k), ("delta", delta)):
+        if name in needed:
+            if value is None:
+                raise ValueError(f"measure {measure!r} requires {name}")
+            params[name] = int(value)
+    threads = {"workers": workers} if "workers" in needed else {}
+    return CentralityResult(measure, func(graph, **params, **threads), params)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .errors import (BinningMismatchError, FileFormatError, InvalidRegionError,
-                     NumericalError, SamplingError)
+                     NumericalError, SamplingError, read_text)
 
 # the choices of --measure and --rule, spelled out so that parsing imports
 # neither centrality nor protocol; a test keeps them equal to theirs
@@ -171,8 +171,7 @@ def _load_values_csv(path, n):
     classification CSV (boundary 1, interior 0).  A bad id, value or class
     word, or a node given twice, raises FileFormatError at its line."""
     values = np.full(n, np.nan)  # nan until the node's line is read
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
 
     def fail(msg, line):
         raise FileFormatError(msg, line=line, path=path)

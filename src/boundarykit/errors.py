@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader that
+raises FileFormatError for a file that is not UTF-8."""
 
 
 class InvalidRegionError(ValueError):
@@ -29,3 +30,18 @@ class NumericalError(RuntimeError):
 
 class BinningMismatchError(ValueError):
     """Two histograms that must share a binning do not."""
+
+
+def read_text(path):
+    """The text of a UTF-8 file, newlines untranslated: ``str.splitlines``
+    breaks its lines at "\r\n" and a lone "\r" as a text-mode read would.
+    A byte that is not UTF-8 raises FileFormatError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the lines before the byte's, and its own
+        line = len((data[:e.start].decode("utf-8") + "-").splitlines())
+        raise FileFormatError(f"byte {data[e.start]:#04x} is not UTF-8 text",
+                              line=line, path=str(path)) from None

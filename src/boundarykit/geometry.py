@@ -4,18 +4,25 @@ A region is one simple outer ring plus zero or more simple, pairwise disjoint
 hole rings strictly inside the outer ring.  Rings are stored as (V, 2) float
 arrays; orientation is normalized on construction (outer counter-clockwise,
 holes clockwise) so callers may supply rings in either winding.
+
+Validation costs O(E^2) pair tests for E edges, in numpy: one closed-segment
+test over arrays of edges (``_touching``), chunked, which ``contains`` also
+uses for points on an edge.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import FileFormatError, InvalidRegionError, SamplingError
+from .errors import FileFormatError, InvalidRegionError, SamplingError, read_text
 
 # Chunk of candidate points per rejection round; fixed so that the draw
 # sequence for a given seed does not depend on acceptance history.
 _SAMPLE_CHUNK = 4096
 _MIN_ACCEPT_RATE = 1e-6
+# Pairs per chunk of a broadcast over the edge array: the temporaries of a
+# _touching chunk peak near 4 MB (64 bytes a pair), beside its bool result.
+_PAIR_CHUNK = 1 << 16
 
 
 def _signed_area(ring):
@@ -24,33 +31,39 @@ def _signed_area(ring):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _cross(ox, oy, ax, ay, bx, by):
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+def _ring_edges(ring):
+    """The ring's edges as a (V, 4) array of (ax, ay, bx, by), the last closing it."""
+    return np.hstack([ring, np.roll(ring, -1, axis=0)])
 
 
-def _on_segment(px, py, ax, ay, bx, by):
-    # Collinearity is assumed checked by the caller; here only the box test.
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+def _touching(a, b):
+    """(k, E) bool matrix: closed segment a[i] shares a point with closed segment b[j].
 
+    Segments are (k, 4) and (E, 4) arrays of (ax, ay, bx, by); a zero-length
+    segment is a point.  Two segments touch when each one's ends lie strictly
+    on opposite sides of the other, or when a cross product is exactly 0 and
+    its end lies in the other segment's bounding box.
+    """
+    def side(s, x, y):  # cross product of s's direction and (x, y) - s's start
+        return (s[2] - s[0]) * (y - s[1]) - (s[3] - s[1]) * (x - s[0])
 
-def _segments_intersect(a1, a2, b1, b2):
-    """True if closed segments a1-a2 and b1-b2 share any point."""
-    d1 = _cross(b1[0], b1[1], b2[0], b2[1], a1[0], a1[1])
-    d2 = _cross(b1[0], b1[1], b2[0], b2[1], a2[0], a2[1])
-    d3 = _cross(a1[0], a1[1], a2[0], a2[1], b1[0], b1[1])
-    d4 = _cross(a1[0], a1[1], a2[0], a2[1], b2[0], b2[1])
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 \
-            and d3 != 0 and d4 != 0:
-        return True
-    if d1 == 0 and _on_segment(a1[0], a1[1], b1[0], b1[1], b2[0], b2[1]):
-        return True
-    if d2 == 0 and _on_segment(a2[0], a2[1], b1[0], b1[1], b2[0], b2[1]):
-        return True
-    if d3 == 0 and _on_segment(b1[0], b1[1], a1[0], a1[1], a2[0], a2[1]):
-        return True
-    if d4 == 0 and _on_segment(b2[0], b2[1], a1[0], a1[1], a2[0], a2[1]):
-        return True
-    return False
+    def on(s, x, y, d):  # (x, y) on the line of s (d == 0) and within s's box
+        return ((d == 0) & (np.minimum(s[0], s[2]) <= x) & (x <= np.maximum(s[0], s[2]))
+                & (np.minimum(s[1], s[3]) <= y) & (y <= np.maximum(s[1], s[3])))
+
+    out = np.empty((len(a), len(b)), dtype=bool)
+    sb = b.T
+    step = max(1, _PAIR_CHUNK // max(1, len(b)))
+    for lo in range(0, len(a), step):
+        sa = a[lo:lo + step].T[:, :, None]  # columns of the chunk's rows
+        d1, d2 = side(sb, sa[0], sa[1]), side(sb, sa[2], sa[3])
+        d3, d4 = side(sa, sb[0], sb[1]), side(sa, sb[2], sb[3])
+        out[lo:lo + step] = (
+            ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+            & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
+            | on(sb, sa[0], sa[1], d1) | on(sb, sa[2], sa[3], d2)
+            | on(sa, sb[0], sb[1], d3) | on(sa, sb[2], sb[3], d4))
+    return out
 
 
 def _validate_ring(ring, label):
@@ -60,20 +73,17 @@ def _validate_ring(ring, label):
         raise InvalidRegionError(f"{label}: a ring needs at least 3 vertices")
     if not np.all(np.isfinite(ring)):
         raise InvalidRegionError(f"{label}: non-finite vertex coordinate")
-    nxt = np.roll(ring, -1, axis=0)
-    if np.any(np.all(ring == nxt, axis=1)):
+    seg = _ring_edges(ring)
+    if np.any(np.all(seg[:, :2] == seg[:, 2:], axis=1)):
         raise InvalidRegionError(f"{label}: zero-length edge (repeated vertex)")
     if _signed_area(ring) == 0.0:
         raise InvalidRegionError(f"{label}: degenerate ring (zero signed area)")
-    # Simplicity: no two non-adjacent edges may touch.
-    v = len(ring)
-    for i in range(v):
-        a1, a2 = ring[i], ring[(i + 1) % v]
-        for j in range(i + 1, v):
-            if j == i or (j + 1) % v == i or (i + 1) % v == j:
-                continue
-            if _segments_intersect(a1, a2, ring[j], ring[(j + 1) % v]):
-                raise InvalidRegionError(f"{label}: ring self-intersects")
+    # Simplicity: no edge may touch one other than itself and its two neighbours.
+    touch = _touching(seg, seg)
+    i = np.arange(len(ring))
+    touch[i, i - 1] = touch[i, i] = touch[i, (i + 1) % len(ring)] = False
+    if touch.any():
+        raise InvalidRegionError(f"{label}: ring self-intersects")
 
 
 def _ring_parity(ring, px, py):
@@ -120,23 +130,21 @@ class PolygonRegion:
                 holes[k] = h[::-1].copy()
         self.outer = outer
         self.holes = tuple(holes)
-        self._check_nesting()
         self._edges = None  # lazy (E, 4) array of segment endpoints
+        self._check_nesting()
 
     # -- validation -------------------------------------------------------
 
     def _check_nesting(self):
-        rings = [self.outer, *self.holes]
-        # No edge of one ring may touch an edge of another.
-        for a in range(len(rings)):
-            for b in range(a + 1, len(rings)):
-                ra, rb = rings[a], rings[b]
-                for i in range(len(ra)):
-                    for j in range(len(rb)):
-                        if _segments_intersect(ra[i], ra[(i + 1) % len(ra)],
-                                               rb[j], rb[(j + 1) % len(rb)]):
-                            raise InvalidRegionError(
-                                "rings intersect (hole touching outer or another hole)")
+        # No edge of one ring may touch an edge of another: each hole's
+        # edges are tested against those of the rings before it.
+        edges = self.edge_array()
+        lo = len(self.outer)
+        for h in self.holes:
+            if _touching(edges[lo:lo + len(h)], edges[:lo]).any():
+                raise InvalidRegionError(
+                    "rings intersect (hole touching outer or another hole)")
+            lo += len(h)
         for k, h in enumerate(self.holes):
             px, py = h[:, 0], h[:, 1]
             if not np.all(_ring_parity(self.outer, px, py)):
@@ -158,11 +166,7 @@ class PolygonRegion:
     def edge_array(self):
         """All ring edges as an (E, 4) array of (ax, ay, bx, by)."""
         if self._edges is None:
-            segs = []
-            for ring in (self.outer, *self.holes):
-                nxt = np.roll(ring, -1, axis=0)
-                segs.append(np.hstack([ring, nxt]))
-            self._edges = np.vstack(segs)
+            self._edges = np.vstack([_ring_edges(r) for r in (self.outer, *self.holes)])
         return self._edges
 
     def __repr__(self):
@@ -188,19 +192,6 @@ def _contains_mask(region, pts):
     return inside
 
 
-def _on_boundary_mask(region, pts):
-    edges = region.edge_array()
-    ax, ay, bx, by = edges[:, 0], edges[:, 1], edges[:, 2], edges[:, 3]
-    px = pts[:, 0:1]
-    py = pts[:, 1:2]
-    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    within = (
-        (px >= np.minimum(ax, bx)) & (px <= np.maximum(ax, bx))
-        & (py >= np.minimum(ay, by)) & (py <= np.maximum(ay, by))
-    )
-    return np.any((cross == 0.0) & within, axis=1)
-
-
 def contains(region, p):
     """Point-in-region test; points exactly on a ring edge count as inside.
 
@@ -209,7 +200,9 @@ def contains(region, p):
     """
     p = np.asarray(p, dtype=float)
     pts = p if p.ndim == 2 else p.reshape(1, 2)
-    inside = _contains_mask(region, pts) | _on_boundary_mask(region, pts)
+    # a point is a zero-length segment, which touches an edge it lies on
+    on_edge = _touching(pts[:, [0, 1, 0, 1]], region.edge_array()).any(axis=1)
+    inside = _contains_mask(region, pts) | on_edge
     return inside if p.ndim == 2 else bool(inside[0])
 
 
@@ -238,7 +231,7 @@ def distances_to_boundary(region, pts):
     seg2 = dx * dx + dy * dy  # validation guarantees > 0
     best = np.full(len(pts), np.inf)
     # Chunk the (n, E) broadcast to bound memory on large point sets.
-    step = max(1, int(5e6) // max(1, len(edges)))
+    step = max(1, _PAIR_CHUNK // max(1, len(edges)))
     for lo in range(0, len(pts), step):
         px = pts[lo:lo + step, 0][:, None]
         py = pts[lo:lo + step, 1][:, None]
@@ -354,8 +347,7 @@ def loads_region(text, path=None):
 
 
 def load_region(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_region(fh.read(), path=str(path))
+    return loads_region(read_text(path), path=str(path))
 
 
 def dumps_region(region):

@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, read_text
 from . import geometry
 
 
@@ -306,8 +306,7 @@ def _read_bulk(path):
 
 def _scan_lines(path):
     """The per-line reader: (positions, radius, indptr, indices) or FileFormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     spath = str(path)
 
     def fail(msg, line):

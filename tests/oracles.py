@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything in here is written for clarity, not speed: Floyd-Warshall hop
-distances, explicit enumeration of all shortest paths, O(n^2) adjacency.
+distances, explicit enumeration of all shortest paths, O(n^2) adjacency,
+a scalar closed-segment test.
 None of it shares code with boundarykit internals, except the st sampler
 references, which call ``clipped_disk_area`` as the sampler did, and the
 protocol reference, which logs rounds on the trace it is given.
@@ -51,6 +52,55 @@ def er_graph(n, p, rng):
 def geometric_graph(n, radius, rng, box=1.0):
     pts = rng.random((n, 2)) * box
     return pts, brute_adjacency(pts, radius)
+
+
+# ---------------------------------------------------------------------------
+# region geometry
+
+
+def _cross(ox, oy, ax, ay, bx, by):
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+
+def _on_segment(px, py, ax, ay, bx, by):
+    # Collinearity is assumed checked by the caller; here only the box test.
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+
+
+def segments_intersect(a1, a2, b1, b2):
+    """True if closed segments a1-a2 and b1-b2 share any point."""
+    d1 = _cross(b1[0], b1[1], b2[0], b2[1], a1[0], a1[1])
+    d2 = _cross(b1[0], b1[1], b2[0], b2[1], a2[0], a2[1])
+    d3 = _cross(a1[0], a1[1], a2[0], a2[1], b1[0], b1[1])
+    d4 = _cross(a1[0], a1[1], a2[0], a2[1], b2[0], b2[1])
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 \
+            and d3 != 0 and d4 != 0:
+        return True
+    if d1 == 0 and _on_segment(a1[0], a1[1], b1[0], b1[1], b2[0], b2[1]):
+        return True
+    if d2 == 0 and _on_segment(a2[0], a2[1], b1[0], b1[1], b2[0], b2[1]):
+        return True
+    if d3 == 0 and _on_segment(b1[0], b1[1], a1[0], a1[1], a2[0], a2[1]):
+        return True
+    if d4 == 0 and _on_segment(b2[0], b2[1], a1[0], a1[1], a2[0], a2[1]):
+        return True
+    return False
+
+
+def region_contains(region, p):
+    """Point p on a ring edge, or inside the outer ring and no hole by even-odd
+    crossings, one edge and one point at a time."""
+    if any(segments_intersect(p, p, e[:2], e[2:]) for e in region.edge_array()):
+        return True
+
+    def crosses(ring):
+        inside = False
+        for (x1, y1), (x2, y2) in zip(ring, np.roll(ring, -1, axis=0)):
+            if (y1 > p[1]) != (y2 > p[1]):
+                inside ^= bool(p[0] < x1 + (p[1] - y1) * (x2 - x1) / (y2 - y1))
+        return inside
+
+    return crosses(region.outer) and not any(crosses(h) for h in region.holes)
 
 
 # ---------------------------------------------------------------------------

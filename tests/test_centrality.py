@@ -749,6 +749,30 @@ def test_parallel_matches_serial():
     np.testing.assert_allclose(b4, b1, rtol=1e-9, atol=1e-12)
 
 
+def test_restricted_stress_workers(monkeypatch):
+    # several blocks, so that two workers share them; the sums stay bitwise equal
+    rng = np.random.default_rng(5)
+    _, adj = oracles.geometric_graph(120, 0.25, rng)
+    monkeypatch.setattr(centrality, "_ENTRY_BUDGET", 200)
+    one = bk.restricted_stress(adj, 2, workers=1)
+    assert one.tobytes() == bk.restricted_stress(adj, 2, workers=2).tobytes()
+    # compute hands its workers to every path measure
+    counts = []
+    ordered_map = centrality.ordered_map
+
+    def counted(fn, items, workers):
+        counts.append(workers)
+        return ordered_map(fn, items, workers)
+
+    monkeypatch.setattr(centrality, "ordered_map", counted)
+    monkeypatch.setenv(centrality.WORKERS_ENV, "2")
+    res = bk.compute(adj, "rstress", delta=2, workers=1)
+    assert counts == [1] and res.values.tobytes() == one.tobytes()
+    assert res.params == {"delta": 2}
+    bk.compute(adj, "rstress", delta=2)
+    assert counts == [1, 2]
+
+
 def test_workers_env_override(monkeypatch):
     from boundarykit.centrality import WORKERS_ENV, resolve_workers
     monkeypatch.setenv(WORKERS_ENV, "3")

@@ -346,6 +346,23 @@ def test_render_bad_values_exit_2_at_line(triangle_file, tmp_path, capsys, optio
     assert not (tmp_path / "o.svg").exists()
 
 
+@pytest.mark.parametrize("command, data, line", [
+    (["centrality", "--measure", "st", "--network"], b"2 1.0\r\n0 0.0 0.0\r1 0.5 \xff\n0 1\n", 3),
+    (["generate", "--nodes", "5", "--radius", "0.2", "--seed", "1", "--region"],
+     b"3\r\n0 0\r1 0\n0 \xfe1\n0\n", 4),
+    (["render", "--network", "tri.txt", "--centrality"],
+     b"node_id,value\r\n0,1.0\r1,\xc3(\n2,3.0\n", 3),
+], ids=["network", "region", "values"])
+def test_undecodable_byte_exits_2_at_line(triangle_file, tmp_path, capsys, monkeypatch,
+                                          command, data, line):
+    # "\r\n" and a lone "\r" each end one line, as in a text-mode read
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data)
+    monkeypatch.chdir(tmp_path)  # where tri.txt is
+    assert main([*command, str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert f"bad.txt:line {line}: " in capsys.readouterr().err
+
+
 def test_render_sources_exclusive(triangle_file, tmp_path):
     rc = main(["render", "--network", str(triangle_file),
                "--centrality", "a.csv", "--classification", "b.csv",

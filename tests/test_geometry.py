@@ -1,12 +1,15 @@
 """Region validation, containment, boundary distance, sampling, file format."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 import boundarykit as bk
-from boundarykit import InvalidRegionError, FileFormatError, SamplingError
+from boundarykit import InvalidRegionError, FileFormatError, SamplingError, geometry
+
+import oracles
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -76,6 +79,44 @@ def test_contains_vectorized_matches_scalar():
     mask = bk.contains(reg, pts)
     for p, m in zip(pts, mask):
         assert bk.contains(reg, tuple(p)) == bool(m)
+
+
+@pytest.mark.parametrize("scale", [1, 0.1, 0.3])
+def test_touching_matches_scalar_oracle(scale):
+    # lattice segments: collinear overlaps, shared endpoints, and zero-length
+    # segments; 0.1 and 0.3 make the coordinates inexact
+    rng = np.random.default_rng(int(scale * 10))
+    hits = pairs = 0
+    for _ in range(40):
+        a = rng.integers(0, 5, (12, 4)) * scale
+        b = rng.integers(0, 5, (15, 4)) * scale
+        a[:3, 2:] = a[:3, :2]
+        b[:2, :2] = b[:2, 2:]
+        got = geometry._touching(a, b)
+        want = [[oracles.segments_intersect(p[:2], p[2:], q[:2], q[2:]) for q in b] for p in a]
+        assert got.tolist() == want
+        hits += int(got.sum())
+        pairs += got.size
+    assert 0.2 * pairs < hits < 0.8 * pairs
+
+
+def _ring(v, radius, center=(0.0, 0.0), phase=0.0):
+    t = np.linspace(0.0, 2 * np.pi, v, endpoint=False) + phase
+    return np.c_[center[0] + radius * np.cos(t), center[1] + radius * np.sin(t)]
+
+
+@pytest.mark.parametrize("scale", [1, 0.1, 0.3])
+def test_contains_matches_scalar_oracle(scale):
+    # on vertices, at points along the edges, and one float step off them
+    holes = [[(-5, -4), (-1, -3), (-3, 0)], [(1, 1), (4, 1), (4, 4), (1, 4)]]
+    reg = bk.PolygonRegion(_ring(12, 10 * scale, phase=0.1), [np.multiply(h, scale) for h in holes])
+    e = reg.edge_array()
+    a, b = e[:, :2], e[:, 2:]
+    on = np.vstack([a, a + (b - a) / 2, a + (b - a) * 0.3, a + (b - a) / 3])
+    pts = np.vstack([on, *(np.nextafter(on, on + d) for d in ((1, 0), (0, -1), (-1, 1)))])
+    got = bk.contains(reg, pts)
+    assert got.tolist() == [oracles.region_contains(reg, p) for p in pts]
+    assert got[:len(e)].all() and not got.all()
 
 
 # -- boundary distance -------------------------------------------------------
@@ -168,6 +209,35 @@ def test_reject_overlapping_holes():
     h2 = [(0.3, 0.3), (0.7, 0.3), (0.7, 0.7), (0.3, 0.7)]
     with pytest.raises(InvalidRegionError):
         bk.PolygonRegion(UNIT_SQUARE, holes=[h1, h2])
+
+
+def test_many_vertex_region_constructs_fast():
+    # O(V^2) pair tests in numpy; the per-pair Python loops took 10 s of CPU
+    # at 1,000 vertices per ring on a 2-core x86 host
+    start = time.process_time()
+    reg = bk.PolygonRegion(_ring(2000, 10.0), [_ring(2000, 3.0)])
+    assert time.process_time() - start < 3.0
+    assert bk.area(reg) == pytest.approx(91 * np.pi, rel=1e-4)
+
+
+def test_reject_last_edge_touching_far_edge():
+    # the last edge joins vertices mirrored in the x axis, and vertex 500,
+    # across the ring, is moved onto its midpoint: only edges 499 and 500
+    # touch it, and no other pair touches
+    ring = _ring(1000, 1.0, phase=np.pi / 1000)
+    ring[-1] = ring[0] * (1, -1)
+    ring[500] = (ring[0, 0], 0.0)
+    with pytest.raises(InvalidRegionError, match="^outer ring: ring self-intersects$"):
+        bk.PolygonRegion(ring)
+
+
+def test_reject_hole_touching_outer_at_a_vertex():
+    outer = _ring(1000, 10.0)
+    hole = _ring(1000, 3.0, center=(7.0, 0.0))  # its vertex 0 is (10, 0)
+    assert tuple(hole[0]) == tuple(outer[0])
+    with pytest.raises(InvalidRegionError, match=r"^rings intersect \(hole touching"):
+        bk.PolygonRegion(outer, [hole])
+    bk.PolygonRegion(outer, [hole * 0.99])  # a hole clear of the ring
 
 
 # -- sampling ----------------------------------------------------------------
