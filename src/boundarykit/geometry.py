@@ -7,7 +7,8 @@ holes clockwise) so callers may supply rings in either winding.
 
 Validation costs O(E^2) pair tests for E edges, in numpy: one closed-segment
 test over arrays of edges (``_touching``), chunked, which ``contains`` also
-uses for points on an edge.
+uses for points on an edge.  Point location is one chunked pass of
+O(points x E) pair tests: each point's even-odd parity against each ring.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ def _ring_edges(ring):
     return np.hstack([ring, np.roll(ring, -1, axis=0)])
 
 
+def _row_chunks(rows, cols):
+    """Row slices of a (rows, cols) broadcast, _PAIR_CHUNK pairs each (one row at least)."""
+    step = max(1, _PAIR_CHUNK // max(1, cols))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
 def _touching(a, b):
     """(k, E) bool matrix: closed segment a[i] shares a point with closed segment b[j].
 
@@ -53,12 +60,11 @@ def _touching(a, b):
 
     out = np.empty((len(a), len(b)), dtype=bool)
     sb = b.T
-    step = max(1, _PAIR_CHUNK // max(1, len(b)))
-    for lo in range(0, len(a), step):
-        sa = a[lo:lo + step].T[:, :, None]  # columns of the chunk's rows
+    for rows in _row_chunks(len(a), len(b)):
+        sa = a[rows].T[:, :, None]  # columns of the chunk's rows
         d1, d2 = side(sb, sa[0], sa[1]), side(sb, sa[2], sa[3])
         d3, d4 = side(sa, sb[0], sb[1]), side(sa, sb[2], sb[3])
-        out[lo:lo + step] = (
+        out[rows] = (
             ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
             & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
             | on(sb, sa[0], sa[1], d1) | on(sb, sa[2], sa[3], d2)
@@ -86,26 +92,6 @@ def _validate_ring(ring, label):
         raise InvalidRegionError(f"{label}: ring self-intersects")
 
 
-def _ring_parity(ring, px, py):
-    """Even-odd crossing parity for an array of query points.
-
-    Points exactly on an edge get an arbitrary side; callers that care
-    check edges explicitly first.
-    """
-    inside = np.zeros(px.shape, dtype=bool)
-    v = len(ring)
-    for i in range(v):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % v]
-        straddles = (y1 > py) != (y2 > py)
-        if not np.any(straddles):
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= straddles & (px < xint)
-    return inside
-
-
 class PolygonRegion:
     """Immutable-by-convention polygon with holes.
 
@@ -130,7 +116,10 @@ class PolygonRegion:
                 holes[k] = h[::-1].copy()
         self.outer = outer
         self.holes = tuple(holes)
-        self._edges = None  # lazy (E, 4) array of segment endpoints
+        rings = (outer, *self.holes)
+        self._edges = np.vstack([_ring_edges(r) for r in rings])
+        # ring k's edges are _edges[_bounds[k]:_bounds[k + 1]], the outer ring first
+        self._bounds = np.cumsum([0, *map(len, rings)])
         self._check_nesting()
 
     # -- validation -------------------------------------------------------
@@ -138,22 +127,22 @@ class PolygonRegion:
     def _check_nesting(self):
         # No edge of one ring may touch an edge of another: each hole's
         # edges are tested against those of the rings before it.
-        edges = self.edge_array()
-        lo = len(self.outer)
-        for h in self.holes:
-            if _touching(edges[lo:lo + len(h)], edges[:lo]).any():
+        edges, b = self._edges, self._bounds
+        for lo, hi in zip(b[1:-1], b[2:]):
+            if _touching(edges[lo:hi], edges[:lo]).any():
                 raise InvalidRegionError(
                     "rings intersect (hole touching outer or another hole)")
-            lo += len(h)
-        for k, h in enumerate(self.holes):
-            px, py = h[:, 0], h[:, 1]
-            if not np.all(_ring_parity(self.outer, px, py)):
+        # Faults in the order of a loop over k: hole k in the outer ring, then pairs (k, k2 > k).
+        verts = edges[b[1]:, :2]  # the holes' vertices, hole after hole
+        outside = ~np.logical_and.reduceat(_parities(self, verts)[:, 0], b[1:-1] - b[1])
+        within = _parities(self, edges[b[1:-1], :2])[:, 1:]  # [i, j]: hole i's vertex 0 in hole j
+        nested = np.triu(within | within.T, 1)
+        bad = outside | nested.any(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if outside[k]:
                 raise InvalidRegionError(f"hole {k} is not strictly inside the outer ring")
-            for k2 in range(k + 1, len(self.holes)):
-                h2 = self.holes[k2]
-                if _ring_parity(h2, px[:1], py[:1])[0] or \
-                        _ring_parity(h, h2[:1, 0], h2[:1, 1])[0]:
-                    raise InvalidRegionError(f"holes {k} and {k2} are nested")
+            raise InvalidRegionError(f"holes {k} and {int(np.argmax(nested[k]))} are nested")
 
     # -- basic geometry ---------------------------------------------------
 
@@ -165,8 +154,6 @@ class PolygonRegion:
 
     def edge_array(self):
         """All ring edges as an (E, 4) array of (ax, ay, bx, by)."""
-        if self._edges is None:
-            self._edges = np.vstack([_ring_edges(r) for r in (self.outer, *self.holes)])
         return self._edges
 
     def __repr__(self):
@@ -182,64 +169,75 @@ def area(region):
     return a
 
 
-def _contains_mask(region, pts):
-    """Vectorized even-odd containment; the sampler and `contains` share it."""
-    px = pts[:, 0]
-    py = pts[:, 1]
-    inside = _ring_parity(region.outer, px, py)
-    for h in region.holes:
-        inside &= ~_ring_parity(h, px, py)
-    return inside
+def _parities(region, pts):
+    """(k, R) even-odd crossing parity of (k, 2) points against the R rings, outer
+    first.  A point exactly on an edge gets an arbitrary side; a non-finite one, even."""
+    x1, y1, x2, y2 = region.edge_array().T
+    out = np.empty((len(pts), len(region.holes) + 1), dtype=bool)
+    for rows in _row_chunks(len(pts), len(x1)):
+        px, py = pts[rows].T
+        cross = (y1 > py[:, None]) != (y2 > py[:, None])  # the edge straddles the point's y
+        i, j = np.divmod(np.flatnonzero(cross), len(x1))  # these alone; none divides by 0
+        cross[i, j] = px[i] < x1[j] + (py[i] - y1[j]) * (x2[j] - x1[j]) / (y2[j] - y1[j])
+        out[rows] = np.logical_xor.reduceat(cross, region._bounds[:-1], axis=1)
+    return out
+
+
+def _points(p):
+    """p as a float (2,) point or (n, 2) point array; ValueError for any other shape."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (2,) and (p.ndim != 2 or p.shape[1] != 2):
+        raise ValueError(f"expected points of shape (2,) or (n, 2), got shape {p.shape}")
+    return p
 
 
 def contains(region, p):
     """Point-in-region test; points exactly on a ring edge count as inside.
 
     Accepts a single (x, y) point or an (n, 2) array; the latter returns a
-    boolean mask.
+    boolean mask.  A non-finite point is outside.
     """
-    p = np.asarray(p, dtype=float)
-    pts = p if p.ndim == 2 else p.reshape(1, 2)
-    # a point is a zero-length segment, which touches an edge it lies on
-    on_edge = _touching(pts[:, [0, 1, 0, 1]], region.edge_array()).any(axis=1)
-    inside = _contains_mask(region, pts) | on_edge
+    p = _points(p)
+    pts = p.reshape(-1, 2)
+    # a point is a zero-length segment, touching an edge it lies on (none if not finite)
+    with np.errstate(invalid="ignore"):
+        on_edge = _touching(pts[:, [0, 1, 0, 1]], region.edge_array()).any(axis=1)
+    par = _parities(region, pts)
+    inside = (par[:, 0] & ~par[:, 1:].any(axis=1)) | on_edge
     return inside if p.ndim == 2 else bool(inside[0])
 
 
 def distance_to_boundary(region, p):
     """Euclidean distance from an interior point to the nearest ring edge.
 
-    Raises ValueError if ``p`` is not inside the region.
+    Raises ValueError if ``p`` is not a (2,) point inside the region.
     """
     p = np.asarray(p, dtype=float)
+    if p.shape != (2,):
+        raise ValueError(f"expected a point of shape (2,), got shape {p.shape}")
     if not contains(region, p):
         raise ValueError(f"point {tuple(p)} is outside the region")
-    return float(distances_to_boundary(region, p[None, :])[0])
+    return float(distances_to_boundary(region, p)[0])
 
 
 def distances_to_boundary(region, pts):
-    """Vectorized boundary distance for an (n, 2) array of points.
+    """Vectorized boundary distance for an (n, 2) array of points (or one point).
 
     Containment is not checked here; for points outside the region this
     returns the distance to the nearest edge like any other point.
     """
-    pts = np.asarray(pts, dtype=float)
-    edges = region.edge_array()
-    ax, ay, bx, by = edges[:, 0], edges[:, 1], edges[:, 2], edges[:, 3]
+    pts = _points(pts).reshape(-1, 2)
+    ax, ay, bx, by = region.edge_array().T
     dx = bx - ax
     dy = by - ay
     seg2 = dx * dx + dy * dy  # validation guarantees > 0
-    best = np.full(len(pts), np.inf)
-    # Chunk the (n, E) broadcast to bound memory on large point sets.
-    step = max(1, _PAIR_CHUNK // max(1, len(edges)))
-    for lo in range(0, len(pts), step):
-        px = pts[lo:lo + step, 0][:, None]
-        py = pts[lo:lo + step, 1][:, None]
+    best = np.empty(len(pts))
+    for rows in _row_chunks(len(pts), len(ax)):
+        px, py = pts[rows, :1], pts[rows, 1:]
         t = np.clip(((px - ax) * dx + (py - ay) * dy) / seg2, 0.0, 1.0)
         qx = ax + t * dx
         qy = ay + t * dy
-        d = np.hypot(px - qx, py - qy).min(axis=1)
-        best[lo:lo + len(d)] = d
+        best[rows] = np.hypot(px - qx, py - qy).min(axis=1)
     return best
 
 
@@ -262,7 +260,8 @@ def sample_uniform(region, n, seed):
     while got < n:
         cand = rng.uniform((xmin, ymin), (xmax, ymax), size=(_SAMPLE_CHUNK, 2))
         drawn += _SAMPLE_CHUNK
-        acc = cand[_contains_mask(region, cand)]
+        par = _parities(region, cand)
+        acc = cand[par[:, 0] & ~par[:, 1:].any(axis=1)]
         take = min(n - got, len(acc))
         out[got:got + take] = acc[:take]
         got += take

@@ -1,7 +1,9 @@
 """Region validation, containment, boundary distance, sampling, file format."""
 
 import math
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -105,18 +107,50 @@ def _ring(v, radius, center=(0.0, 0.0), phase=0.0):
     return np.c_[center[0] + radius * np.cos(t), center[1] + radius * np.sin(t)]
 
 
+def _square(x, y, side):
+    return [(x, y), (x + side, y), (x + side, y + side), (x, y + side)]
+
+
+def _hole_grid(g):
+    """g x g square holding a g x g grid of square holes of side 0.5."""
+    return bk.PolygonRegion(_square(0, 0, g), [_square(i + 0.25, j + 0.25, 0.5)
+                                               for i in range(g) for j in range(g)])
+
+
 @pytest.mark.parametrize("scale", [1, 0.1, 0.3])
 def test_contains_matches_scalar_oracle(scale):
-    # on vertices, at points along the edges, and one float step off them
+    # on vertices, at points along the edges, and one float step off them;
+    # the second region's rings of 3 to 6 vertices check each ring's parity
     holes = [[(-5, -4), (-1, -3), (-3, 0)], [(1, 1), (4, 1), (4, 4), (1, 4)]]
-    reg = bk.PolygonRegion(_ring(12, 10 * scale, phase=0.1), [np.multiply(h, scale) for h in holes])
-    e = reg.edge_array()
-    a, b = e[:, :2], e[:, 2:]
-    on = np.vstack([a, a + (b - a) / 2, a + (b - a) * 0.3, a + (b - a) / 3])
-    pts = np.vstack([on, *(np.nextafter(on, on + d) for d in ((1, 0), (0, -1), (-1, 1)))])
-    got = bk.contains(reg, pts)
-    assert got.tolist() == [oracles.region_contains(reg, p) for p in pts]
-    assert got[:len(e)].all() and not got.all()
+    many = [_ring(3 + (i + j) % 4, 0.3, (i, j), phase=0.2 * i) for i in range(3) for j in range(3)]
+    rings = [(_ring(12, 10 * scale, phase=0.1), holes), (_ring(7, 4 * scale, (scale, scale)), many)]
+    for outer, hs in rings:
+        reg = bk.PolygonRegion(outer, [np.multiply(h, scale) for h in hs])
+        e = reg.edge_array()
+        a, b = e[:, :2], e[:, 2:]
+        on = np.vstack([a, a + (b - a) / 2, a + (b - a) * 0.3, a + (b - a) / 3])
+        pts = np.vstack([on, *(np.nextafter(on, on + d) for d in ((1, 0), (0, -1), (-1, 1)))])
+        got = bk.contains(reg, pts)
+        assert got.tolist() == [oracles.region_contains(reg, p) for p in pts]
+        assert got[:len(e)].all() and not got.all()
+
+
+def test_contains_nonfinite_point_is_outside():
+    reg = square4_with_hole()
+    bad = [(np.inf, 0.5), (-np.inf, 0.5), (0.5, np.inf), (0.5, -np.inf), (np.nan, 0.5),
+           (0.5, np.nan), (np.inf, -np.inf), (np.nan, np.nan)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not bk.contains(reg, bad).any()
+        assert not any(bk.contains(reg, p) for p in bad)
+
+
+@pytest.mark.parametrize("f", [bk.contains, bk.distance_to_boundary, bk.distances_to_boundary])
+@pytest.mark.parametrize("shape", [(3, 3), (3, 1), (3,), (), (2, 2, 2)],
+                         ids=["3x3", "3x1", "3", "scalar", "2x2x2"])
+def test_point_shape_rejected(f, shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        f(square4_with_hole(), np.full(shape, 0.5))
 
 
 # -- boundary distance -------------------------------------------------------
@@ -209,6 +243,47 @@ def test_reject_overlapping_holes():
     h2 = [(0.3, 0.3), (0.7, 0.3), (0.7, 0.7), (0.3, 0.7)]
     with pytest.raises(InvalidRegionError):
         bk.PolygonRegion(UNIT_SQUARE, holes=[h1, h2])
+
+
+BIG_HOLE = _square(0.1, 0.1, 0.5)
+SMALL_HOLE = _square(0.2, 0.2, 0.1)
+OUT_HOLE = _square(2, 2, 1)
+
+
+@pytest.mark.parametrize("holes, message", [
+    ([SMALL_HOLE, BIG_HOLE], "^holes 0 and 1 are nested$"),
+    ([BIG_HOLE, SMALL_HOLE], "^holes 0 and 1 are nested$"),
+    # hole k is tested against the outer ring, then against the holes after it
+    ([BIG_HOLE, SMALL_HOLE, OUT_HOLE], "^holes 0 and 1 are nested$"),
+    ([BIG_HOLE, OUT_HOLE, SMALL_HOLE], "^holes 0 and 2 are nested$"),
+    ([OUT_HOLE, BIG_HOLE, SMALL_HOLE], "^hole 0 is not strictly inside the outer ring$"),
+    ([OUT_HOLE, _square(2.2, 2.2, 0.3)], "^hole 0 is not strictly inside the outer ring$"),
+    ([_square(0.7, 0.7, 0.1), OUT_HOLE, SMALL_HOLE, BIG_HOLE],
+     "^hole 1 is not strictly inside the outer ring$"),
+], ids=["small-first", "small-second", "pair-before-outside", "pair-around-outside",
+        "outside-first", "outside-holding-one", "outside-before-pair"])
+def test_reject_nested_holes(holes, message):
+    with pytest.raises(InvalidRegionError, match=message):
+        bk.PolygonRegion(UNIT_SQUARE, holes=holes)
+
+
+def test_accept_hole_whose_first_vertex_sees_its_far_edge():
+    # each clockwise triangle's vertex 0 has odd parity against its own ring
+    holes = [[(0.2, 0.5), (0.4, 0.7), (0.4, 0.3)], [(0.6, 0.5), (0.8, 0.7), (0.8, 0.3)]]
+    reg = bk.PolygonRegion(UNIT_SQUARE, holes)
+    assert geometry._parities(reg, reg.edge_array()[[4, 7], :2]).tolist() == \
+        [[True, True, False], [True, False, True]]
+
+
+def test_many_hole_region_constructs_fast():
+    # one parity pass over the edge array; a loop over ring edges and over
+    # hole pairs took 4.7 s of CPU on a 2-core x86 host
+    start = time.process_time()
+    reg = _hole_grid(20)
+    assert time.process_time() - start < 1.0
+    assert bk.area(reg) == pytest.approx(300.0)
+    assert bk.contains(reg, [(0.1, 0.1), (0.5, 0.5), (19.8, 19.8), (19.5, 19.5)]).tolist() == \
+        [True, False, True, False]
 
 
 def test_many_vertex_region_constructs_fast():
