@@ -224,9 +224,14 @@ def distances_to_boundary(region, pts):
     """Vectorized boundary distance for an (n, 2) array of points (or one point).
 
     Containment is not checked here; for points outside the region this
-    returns the distance to the nearest edge like any other point.
+    returns the distance to the nearest edge like any other point.  A point
+    with a non-finite coordinate has no distance: ValueError names the first.
     """
     pts = _points(pts).reshape(-1, 2)
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"point {k} {tuple(pts[k].tolist())} is not finite")
     ax, ay, bx, by = region.edge_array().T
     dx = bx - ax
     dy = by - ay

@@ -73,9 +73,7 @@ class SensorNetwork:
 
     def edges(self):
         """Edge list as an (m, 2) int64 array with u < v, lexicographically sorted."""
-        src = np.repeat(np.arange(self.n), self.degrees)
-        keep = src < self.indices
-        return np.column_stack([src[keep], self.indices[keep]])
+        return np.concatenate([np.empty((0, 2), np.int64), *_edge_blocks(self)])
 
     def __repr__(self):
         m = len(self.indices) // 2
@@ -106,6 +104,20 @@ def _check_csr(n, indptr, indices):
         raise ValueError("adjacency rows must be strictly increasing, with no id twice")
 
 
+def _edge_blocks(network):
+    """The edges u < v of ``network`` in lexicographic order, as (k, 2) int64
+    arrays, one from each block of ``_EDGE_ROWS`` CSR entries, so k <= _EDGE_ROWS."""
+    indptr, indices = network.indptr, network.indices
+    for lo in range(0, len(indices), _EDGE_ROWS):
+        hi = min(lo + _EDGE_ROWS, len(indices))
+        # rows first..end-1 hold the entries lo..hi-1; a row may span blocks
+        first, end = np.searchsorted(indptr, lo, "right") - 1, np.searchsorted(indptr, hi)
+        u = np.repeat(np.arange(first, end), np.diff(np.clip(indptr[first:end + 1], lo, hi)))
+        v = indices[lo:hi]
+        keep = u < v
+        yield np.column_stack([u[keep], v[keep]])
+
+
 def _read_only(a):
     """A read-only view of ``a``; ``a`` itself stays writeable."""
     view = np.asarray(a).view()
@@ -119,14 +131,23 @@ def _index_dtype(n, nnz):
     return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
 
 
-def _csr_from_edge_keys(n, key):
-    """Sorted CSR adjacency from int64 keys u * n + v, one per undirected edge,
-    in ``_index_dtype``.
+def _csr_from_pairs(n, pairs):
+    """Sorted CSR adjacency in ``_index_dtype`` from the C-contiguous (m, 2)
+    int64 array of the edges u < v, which it overwrites.
 
-    With the reversed keys added, sorting the keys puts the rows in order and
-    each row's columns in order; the keys mod n are then the indices array.
+    Each row (u, v) becomes the keys u * n + v and v * n + u, by in-place
+    steps that need no temporary; sorting the 2m keys in place puts the rows
+    in order and each row's columns in order, and the keys mod n are then
+    the indices array.  Beyond ``pairs`` it holds only the indices in
+    ``_index_dtype`` (and an int64 indptr).
     """
-    key = np.concatenate([key, key % n * n + key // n])
+    u, v = pairs.T
+    v += u
+    u *= n - 1
+    u += v      # u * n + v
+    v *= n + 1  # may wrap past 2**63, but the keys, below n * n, come out exact
+    v -= u      # v * n + u
+    key = pairs.reshape(-1)
     key.sort()
     dtype = _index_dtype(n, len(key))
     indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n).astype(dtype)
@@ -148,10 +169,8 @@ def adjacency_from_positions(positions, radius):
     from scipy.spatial import cKDTree
 
     _check_geometry(positions, radius)
-    n = len(positions)
-    # keys u * n + v of the (m, 2) pairs, which are freed before the CSR is built
-    key = cKDTree(positions).query_pairs(radius, output_type="ndarray") @ np.array([n, 1])
-    return _csr_from_edge_keys(n, key)
+    pairs = cKDTree(positions).query_pairs(radius, output_type="ndarray")
+    return _csr_from_pairs(len(positions), pairs)
 
 
 def build_network(region, n, radius, seed):
@@ -216,8 +235,16 @@ def ground_truth(network, band=None):
 # scan accepts too and builds the same arrays from: loadtxt parses ints and
 # floats as int() and float() do, bit for bit, but takes fewer spellings
 # (no "1_0"), and those go to the scan.
+#
+# Memory: build_network and the bulk reader each get the edges as one (m, 2)
+# int64 array of pairs u < v (from the k-d tree or from loadtxt), 16 B an
+# edge, which ``_csr_from_pairs`` turns into the sorted CSR in place; with
+# the int32 indices that the network keeps, 8 B an edge, they peak at about
+# 24 B an edge, plus O(n).  save_network writes the edge lines from the CSR
+# one block of ``_EDGE_ROWS`` entries at a time (``_edge_blocks``), so it
+# holds one block of lines whatever m.
 
-_EDGE_ROWS = 1 << 16     # edge lines formatted per write
+_EDGE_ROWS = 1 << 14     # CSR entries per block of edge lines, so lines per write at most
 # Bytes the bulk path takes: printable ASCII, tab and line ends.  Any other
 # byte (non-ASCII text, or a form feed, at which splitlines() breaks a line
 # and loadtxt does not) sends the file to the per-line scan.
@@ -230,13 +257,11 @@ _NODE_ROW = np.dtype([("id", np.int64), ("xy", np.float64, 2)])
 def save_network(network, path):
     """Write ``network`` in the network file format."""
     xy = np.asarray(network.positions, dtype=np.float64).tolist()
-    edges = network.edges()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{network.n} {float(network.radius)!r}\n")
         fh.writelines(f"{i} {x!r} {y!r}\n" for i, (x, y) in enumerate(xy))
-        for lo in range(0, len(edges), _EDGE_ROWS):
-            rows = edges[lo:lo + _EDGE_ROWS]
-            fh.write("%d %d\n" * len(rows) % tuple(rows.ravel().tolist()))
+        for uv in _edge_blocks(network):
+            fh.write("%d %d\n" * len(uv) % tuple(uv.ravel().tolist()))
 
 
 def load_network(path, region=None):
@@ -299,9 +324,7 @@ def _read_bulk(path):
     u, v = uv.T
     if not np.isfinite(pos).all() or np.any(u < 0) or np.any(u >= v) or np.any(v >= n):
         return None
-    key = u * n + v  # numpy adds into the temporary u * n
-    del uv, u, v  # the (m, 2) rows go before the CSR is built
-    return (pos, radius, *_csr_from_edge_keys(n, key))
+    return (pos, radius, *_csr_from_pairs(n, uv))
 
 
 def _scan_lines(path):
@@ -343,8 +366,7 @@ def _scan_lines(path):
         if not (np.isfinite(x) and np.isfinite(y)):
             fail(f"non-finite node coordinate in {lines[1 + k]!r}", lineno)
         pos[k] = (x, y)
-    eu = []
-    ev = []
+    ends = []  # u, v of each edge in turn
     el = []
     for off, raw in enumerate(lines[1 + n:]):
         lineno = 2 + n + off
@@ -362,16 +384,14 @@ def _scan_lines(path):
             fail(f"edge ({u}, {v}) references unknown node", lineno)
         if u >= v:
             fail(f"edges must satisfy u < v, got ({u}, {v})", lineno)
-        eu.append(u)
-        ev.append(v)
+        ends += u, v
         el.append(lineno)
-    eu = np.asarray(eu, dtype=np.int64)
-    ev = np.asarray(ev, dtype=np.int64)
-    key = eu * np.int64(n) + ev
+    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    del ends  # its int objects go before the CSR is built
+    key = pairs[:, 0] * n + pairs[:, 1]
     # In a stable sort, every repeat of a key follows its first occurrence.
     order = np.argsort(key, kind="stable")
     again = order[1:][key[order[1:]] == key[order[:-1]]]
     if len(again):
         fail("duplicate edge in file", el[again.min()])
-    indptr, indices = _csr_from_edge_keys(n, key)
-    return pos, radius, indptr, indices
+    return (pos, radius, *_csr_from_pairs(n, pairs))

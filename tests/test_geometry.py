@@ -179,6 +179,16 @@ def test_distance_on_boundary_zero():
     assert bk.distance_to_boundary(unit_square(), (0.0, 0.3)) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [(np.inf, 0.5), (0.5, -np.inf), (np.nan, 0.5)])
+def test_distances_non_finite_point_rejected(bad):
+    # the suite turns RuntimeWarning into an error, so a nan product would fail here too
+    pts = [(1.0, 1.0), (0.5, 0.5), bad, (np.nan, np.nan)]
+    with pytest.raises(ValueError, match=re.escape(f"point 2 {bad} is not finite")):
+        bk.distances_to_boundary(square4_with_hole(), pts)
+    with pytest.raises(ValueError, match="point 0 "):
+        bk.distances_to_boundary(square4_with_hole(), bad)
+
+
 def test_distances_vector_matches_scalar():
     reg = square4_with_hole()
     pts = bk.sample_uniform(reg, 300, seed=3)

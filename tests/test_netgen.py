@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st_
 from scipy import stats
 
 import boundarykit as bk
-from boundarykit import FileFormatError, netgen
+from boundarykit import FileFormatError, centrality, netgen
 
 import oracles
 
@@ -397,6 +397,54 @@ def test_load_network_memory(tmp_path):
     assert peak < 6 * size, (peak, size)
 
 
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory that tracemalloc saw it allocate,
+    numpy buffers included."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def dense_networks():
+    """4,000 nodes at two radii: about 242k and 123k edges."""
+    reg = bk.square_with_hole(10.0, 3.0)
+    bk.build_network(reg, 10, 1.0, seed=5)  # scipy.spatial imported outside the trace
+    return [traced_peak(bk.build_network, reg, 4000, r, 5) for r in (1.0, 0.7)]
+
+
+def test_build_and_load_memory_per_edge(tmp_path, dense_networks):
+    # The CSR is built in place over the (m, 2) int64 edge pairs, 16 B an
+    # edge, and cast once to the int32 indices, 8 B an edge: about 24 B in
+    # all, plus O(n).  The k-d tree's pairs are not traced, so the build
+    # shows about 10 B an edge.  The reader held its keys, their
+    # concatenation and the indices at once: 34 B an edge, and the build 32.
+    (net, build), _ = dense_networks
+    n, m = net.n, len(net.indices) // 2
+    assert m > 240_000
+    p = tmp_path / "net.txt"
+    bk.save_network(net, p)
+    got, load = traced_peak(bk.load_network, p)
+    assert np.array_equal(got.indices, net.indices)
+    assert build < 26 * m + 200 * n, build / m
+    assert load < 28 * m + 200 * n, load / m
+
+
+def test_save_network_memory_flat_in_m(tmp_path, dense_networks):
+    # one block of _EDGE_ROWS edge lines at a time, so equal n gives an
+    # equal peak whatever m; with the whole edge list held, the network
+    # with twice the edges took 1.3 times the peak
+    peaks = []
+    for net, _ in dense_networks:
+        _, peak = traced_peak(bk.save_network, net, tmp_path / "net.txt")
+        peaks.append(peak)
+    big, small = peaks
+    assert big < 1.1 * small, peaks
+
+
 def test_load_network_leaves_warning_filters_alone(tmp_path):
     # before Python 3.14 every thread shares the warning filters, so a reader
     # that set them to "error" would raise the warnings another thread ignores
@@ -482,6 +530,40 @@ def test_save_network_bytes(tmp_path, monkeypatch):
     expected = oracles.network_text_lines(pos, 0.1, net.edges().tolist())
     assert p.read_bytes() == expected.encode()
     assert p.read_bytes().count(b"\n") == 1 + len(pos) + len(pos) * (len(pos) - 1) // 2
+
+
+def network_of(n, edges):
+    """A network of n nodes on a line with the given edges u < v, which the
+    unit-disk rule need not give."""
+    rows = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    pos = np.column_stack([np.arange(n) * 0.5, np.zeros(n)])
+    return bk.SensorNetwork(pos, 0.75, *centrality.as_csr(rows))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+@pytest.mark.parametrize("n,edges", [
+    (5, [(0, 4), (1, 4), (2, 4), (3, 4)]),   # rows 0-3 upper only, row 4 lower only
+    (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),   # blocks after the first find no upper entry
+    (7, [(1, 5), (1, 6), (5, 6)]),           # isolated nodes before, between and after
+    (5, [(u, v) for u in range(5) for v in range(u + 1, 5)]),  # rows longer than a block
+    (4, []),
+    (1, []),
+    (0, []),
+], ids=["star to last", "star from first", "isolated", "complete", "edgeless", "n = 1", "n = 0"])
+def test_save_network_block_edges(tmp_path, monkeypatch, rows, n, edges):
+    net = network_of(n, edges)
+    monkeypatch.setattr(netgen, "_EDGE_ROWS", rows)
+    p = tmp_path / "net.txt"
+    bk.save_network(net, p)
+    assert p.read_bytes() == oracles.network_text_lines(net.positions, 0.75, edges).encode()
+    assert net.edges().tolist() == [list(e) for e in edges]
+    assert net.edges().dtype == np.int64
+    got = bk.load_network(p)
+    assert np.array_equal(got.indptr, net.indptr)
+    assert np.array_equal(got.indices, net.indices)
 
 
 # Replacement tokens for a corrupted field: floats in int columns, ids out
