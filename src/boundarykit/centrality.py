@@ -10,13 +10,12 @@ protocol.
 Stress, betweenness and restricted stress share one kernel, Brandes'
 algorithm as sparse products: blocks of sources walk forward one BFS level
 per product with the adjacency, then sum dependencies back up.  The kernel
-runs on the graph relabelled in reverse Cuthill-McKee order, which gives
-neighbours nearby ids and so makes the products faster, with each
-component's ids made contiguous, and maps each result back to the caller's
-ids; a component of at most 2 nodes has no interior node, so it runs no
-source.  A block lays its sources out as a dense rows x W array, W its
-largest component, where row r holds node v at v less the first id of its
-source's component.  A level is the entries of its product whose slot no
+runs on the graph relabelled in a network's position order, which gives
+neighbours nearby ids, with each component's ids made contiguous, and
+maps each result back to the caller's ids; a component of at most 2 nodes
+has no interior node, so it runs no source.  A block lays its sources out
+as a dense rows x W array, W its largest component, where row r holds
+node v at v less the first id of its source's component.  A level is the entries of its product whose slot no
 earlier level reached; its slots are kept, and its indptr is where they pass
 the rows' bounds.  A product is scipy's numeric SpGEMM pass alone, without
 the symbolic pass that sizes its output: it writes into buffers that the
@@ -49,7 +48,7 @@ from scipy.sparse._sparsetools import csr_matmat, csr_todense
 # them; callers of the path measures import them from here
 from ._workers import WORKERS_ENV, ordered_map, resolve_workers
 from .errors import NumericalError
-from .netgen import SensorNetwork, _check_csr, _index_dtype
+from .netgen import SensorNetwork, _check_csr, _check_symmetric, _index_dtype
 
 # stress1 takes rows in blocks whose neighbors' degrees sum to about this
 _GATHER_BUDGET = 1 << 22
@@ -68,9 +67,9 @@ _OVERFLOW = "shortest-path counts exceed the int64 range"
 def as_csr(graph):
     """CSR view (indptr, indices) of a SensorNetwork or of adjacency lists,
     one sequence of node ids per node.  List rows are sorted, checked as a
-    network's are (``netgen._check_csr``) and for symmetry
-    (``_check_adjacency``), and take ``netgen._index_dtype``, as a network's
-    arrays do.  A scipy sparse array is refused: it is neither."""
+    network's are, by ``netgen._check_csr`` and ``netgen._check_symmetric``,
+    and take ``netgen._index_dtype``, as a network's arrays do.  A scipy
+    sparse array is refused: it is neither."""
     if isinstance(graph, SensorNetwork):
         return graph.indptr, graph.indices
     if sp.issparse(graph):
@@ -87,19 +86,8 @@ def as_csr(graph):
     _check_csr(n, indptr, indices)
     dtype = _index_dtype(n, len(indices))
     indptr, indices = indptr.astype(dtype), indices.astype(dtype, copy=False)
-    _check_adjacency(indptr, indices)
+    _check_symmetric(indptr, indices)
     return indptr, indices
-
-
-def _check_adjacency(indptr, indices):
-    """ValueError unless the CSR, whose rows ``netgen._check_csr`` has
-    accepted, lists each edge from both of its ends: a symmetry that the
-    path kernel's unchecked writes rely on (see ``_matmat``) and that the
-    CSR check cannot establish.  Costs O(n + m)."""
-    a = _adjacency(indptr, indices, bool)
-    t = a.T.tocsr()  # a counting sort, whose rows come out sorted, as a's are
-    if not (np.array_equal(t.indptr, a.indptr) and np.array_equal(t.indices, a.indices)):
-        raise ValueError("adjacency must list each edge from both of its ends")
 
 
 def _adjacency(indptr, indices, dtype=float):
@@ -112,33 +100,34 @@ def _adjacency(indptr, indices, dtype=float):
     return sp.csr_array((np.ones(len(indices), dtype=dtype), indices, indptr), shape=(n, n))
 
 
-def _rcm_csr(indptr, indices):
-    """The CSR of a graph with at least one edge, relabelled for the path
-    kernel: (perm, indptr, indices, first, end), where new node i is old
-    node perm[i], each row is sorted, and the component of new node i holds
-    the new nodes first[i] .. end[i] - 1.
+def _relabel(graph):
+    """The CSR of ``graph`` relabelled for the path kernel: (perm, indptr,
+    indices, first, size), where new node i is old node perm[i], each row
+    is sorted, and the component of new node i holds the size[i] new nodes
+    from first[i]; scipy keeps the graph's index dtype throughout.
 
-    The order is reverse Cuthill-McKee's, which gives neighbours nearby ids,
-    stably sorted by component, so that every component is contiguous
-    whatever order RCM returns: larger components first, so that those of
-    at most 2 nodes come last, and equal sizes in the order RCM reaches them.
+    Nodes go by component, larger first, so that every component is
+    contiguous and those of at most 2 nodes come last; within one, a
+    network's nodes go by rows of cells of one radius, and adjacency lists
+    keep their order.  The transpose of the gathered, renamed rows sorts
+    them, and by symmetry is the relabelled graph.
     """
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    a = _adjacency(indptr, indices, bool)
-    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
-    label, size = _components(_adjacency(indptr, indices))
-    n = len(perm)
-    label = label[perm]
-    head = np.full(len(size), n)
-    np.minimum.at(head, label, np.arange(n))
-    order = np.argsort((n - size[label]) * n + head[label], kind="stable")
-    perm, label = perm[order], label[order]
-    cuts = np.flatnonzero(np.diff(label, prepend=-1, append=-1)).astype(indices.dtype)
+    a = _adjacency(*as_csr(graph))
+    label, size = _components(a)
+    keys = (label, -size[label])
+    if isinstance(graph, SensorNetwork):
+        x, y = graph.positions.T
+        with np.errstate(over="ignore"):  # a huge y / radius is a cell like any other
+            keys = (x, np.floor(y / graph.radius), *keys)
+    perm = np.lexsort(keys)
+    inv = np.empty(len(perm), dtype=a.indices.dtype)
+    inv[perm] = np.arange(len(perm))
+    a = a[perm]
+    a.indices = inv[a.indices]
+    a = a.T.tocsr()
+    cuts = np.flatnonzero(np.diff(label[perm], prepend=-1, append=-1)).astype(a.indices.dtype)
     runs = np.diff(cuts)
-    a = a[perm][:, perm]
-    a.sort_indices()
-    return perm, a.indptr, a.indices, np.repeat(cuts[:-1], runs), np.repeat(cuts[1:], runs)
+    return perm, a.indptr, a.indices, np.repeat(cuts[:-1], runs), np.repeat(runs, runs)
 
 
 def _blocks(work, budget):
@@ -181,8 +170,9 @@ def _matmat(x, a, out):
     # csr_matmat checks no bounds, so this is the only guard: a row of x is
     # one source's and holds nodes of its component, so the same row of x @ a
     # holds neighbours of those, which the adjacency keeps in that component,
-    # as its ids are nodes' (netgen._check_csr) and each edge is listed from
-    # both ends (_check_adjacency); so their ids, or with _Span.rel their ids
+    # as a SensorNetwork is made, and lists converted, only once their ids
+    # are nodes' (netgen._check_csr) and each edge is listed from both ends
+    # (netgen._check_symmetric); so their ids, or with _Span.rel their ids
     # less the component's first, are below a.shape[1]; csr_matmat stores
     # each column at most once per row, so the product fits the buffers that
     # _Span sizes by the sources' components
@@ -241,7 +231,7 @@ def _reach(indptr, indices, depth):
 
 class _Span:
     """The dense layout of a block of sources, over their components, which
-    ``_rcm_csr`` makes contiguous: the component of row r's source holds the
+    ``_relabel`` makes contiguous: the component of row r's source holds the
     ids first[r] .. first[r] + size[r] - 1, and node v of it sits at slot
     r * width + v - first[r] of a rows x width array, with width the block's
     largest component.  So row r owns one run of slots, in row order, that
@@ -371,28 +361,22 @@ def _join(halves):
 def _run_sources(graph, dtype, depth, block_sum, workers):
     """Sum block_sum(levels, a, span) over blocks of sources, in block order.
 
-    ``a`` is the adjacency in ``dtype``, over as_csr's arrays relabelled by
-    ``_rcm_csr``; a block's sum is indexed by the ids of its components,
-    from ``span.lo``, in its last axis, and the total, by node, is mapped
-    back to the caller's ids.  An edgeless graph keeps its ids.
+    ``a`` is the adjacency in ``dtype``, over the CSR that ``_relabel``
+    gives; a block's sum is indexed by the ids of its components,
+    from ``span.lo``, in its last axis, and is added into the total at the
+    caller's ids.
     A component of at most 2 nodes has no interior node, so its nodes are
     no sources.  A block holds consecutive sources whose rows times largest
     component, the size of its ``_Span``, is at most _ENTRY_BUDGET (or a
     single source); its slots and levels stay within that many entries
     whatever n is.  Blocks run on ``workers`` threads (``ordered_map``).
     """
-    indptr, indices = as_csr(graph)
-    if isinstance(graph, SensorNetwork):  # as_csr checks adjacency lists
-        _check_adjacency(indptr, indices)
-    n = len(indptr) - 1
-    perm, first, size = None, np.empty(0, indices.dtype), np.empty(0, indices.dtype)
-    if len(indices):  # RCM raises on n = 0, and no order helps without edges
-        perm, indptr, indices, first, end = _rcm_csr(indptr, indices)
-        size = end - first
+    perm, indptr, indices, first, size = _relabel(graph)
+    n = len(perm)
     a = _adjacency(indptr, indices, dtype)
     rel = sp.csr_array((a.data, indices - first[indices], a.indptr),
                        shape=(n, int(size.max(initial=0))))
-    # _rcm_csr puts the components of at most 2 nodes last, and larger ones
+    # _relabel puts the components of at most 2 nodes last, and larger ones
     # first, so the sources are a prefix whose component sizes never grow
     sources = np.count_nonzero(size > 2)
     # no sources run one empty block, which gives the total its shape
@@ -409,16 +393,11 @@ def _run_sources(graph, dtype, depth, block_sum, workers):
         lo, s = result
         if total is None:
             total = np.zeros(s.shape[:-1] + (n,), dtype=s.dtype)
-        total[..., lo:lo + s.shape[-1]] += s
+        total[..., perm[lo:lo + s.shape[-1]]] += s  # in the caller's ids
         return total
 
     w = min(resolve_workers(workers), len(blocks))
-    total = reduce(add, ordered_map(run, blocks, w), None)
-    if perm is None:
-        return total
-    out = np.empty_like(total)
-    out[..., perm] = total
-    return out
+    return reduce(add, ordered_map(run, blocks, w), None)
 
 
 def stress_centrality(graph, workers=None):

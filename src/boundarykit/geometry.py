@@ -173,13 +173,16 @@ def _parities(region, pts):
     """(k, R) even-odd crossing parity of (k, 2) points against the R rings, outer
     first.  A point exactly on an edge gets an arbitrary side; a non-finite one, even."""
     x1, y1, x2, y2 = region.edge_array().T
-    out = np.empty((len(pts), len(region.holes) + 1), dtype=bool)
+    rings = len(region.holes) + 1
+    ring = np.repeat(np.arange(rings), np.diff(region._bounds))  # the ring of each edge
+    out = np.empty((len(pts), rings), dtype=bool)
     for rows in _row_chunks(len(pts), len(x1)):
         px, py = pts[rows].T
-        cross = (y1 > py[:, None]) != (y2 > py[:, None])  # the edge straddles the point's y
-        i, j = np.divmod(np.flatnonzero(cross), len(x1))  # these alone; none divides by 0
-        cross[i, j] = px[i] < x1[j] + (py[i] - y1[j]) * (x2[j] - x1[j]) / (y2[j] - y1[j])
-        out[rows] = np.logical_xor.reduceat(cross, region._bounds[:-1], axis=1)
+        straddle = (y1 > py[:, None]) != (y2 > py[:, None])  # the edge straddles the point's y
+        i, j = np.divmod(np.flatnonzero(straddle), len(x1))  # these alone; none divides by 0
+        cross = px[i] < x1[j] + (py[i] - y1[j]) * (x2[j] - x1[j]) / (y2[j] - y1[j])
+        key = (i * rings + ring[j])[cross]  # the (point, ring) of each crossing
+        out[rows] = np.bincount(key, minlength=len(px) * rings).reshape(-1, rings) & 1
     return out
 
 

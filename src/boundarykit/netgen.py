@@ -7,8 +7,8 @@ distances with radius**2.  The radius must be positive and every coordinate
 finite.
 
 The module imports numpy only; ``scipy.spatial`` loads on the first call
-that builds an adjacency, so reading and writing network files costs no
-scipy import.
+that builds an adjacency, and ``scipy.sparse`` on the first symmetry test,
+so reading and writing network files costs no scipy import.
 """
 
 from __future__ import annotations
@@ -35,21 +35,24 @@ class SensorNetwork:
     indptr, indices : CSR adjacency (neighbor lists sorted ascending), int32
         unless n or 2m exceeds the int32 range (``_index_dtype``).
 
-    ``positions``, ``indptr`` and ``indices`` are read-only views; the
-    arrays passed in stay writeable.  ValueError unless every CSR row is
-    strictly increasing with integer ids in 0..n-1 (``_check_csr``, the
-    check that ``centrality.as_csr`` runs on adjacency lists too).  The
-    adjacency is not checked for symmetry here, which would cost about a
-    third of ``build_network``; the path measures check it, and a network
-    built by hand with a one-way edge is refused by them alone.  Since the
-    network cannot change, ``centrality.stress1`` keeps its result on it
-    (``_kept_stress1``, None until then), and ``normalized_st`` and
+    ValueError unless every CSR row is strictly increasing with integer ids
+    in 0..n-1 (``_check_csr``) and each edge is listed from both of its ends
+    (``_check_symmetric``), the checks that ``centrality.as_csr`` runs on
+    adjacency lists too; no graph function checks a network again.
+    ``positions`` is a read-only view, and ``indptr`` and ``indices`` are
+    read-only copies, so no write to the caller's arrays undoes the checks.
+    Since the network cannot change, ``centrality.stress1`` keeps its result
+    on it (``_kept_stress1``, None until then), and ``normalized_st`` and
     ``run_protocol`` read it there.
     """
 
     def __init__(self, positions, radius, indptr, indices, region=None):
+        self._adopt(positions, radius, np.array(indptr), np.array(indices), region)
+        _check_symmetric(self.indptr, self.indices)
+
+    def _adopt(self, positions, radius, indptr, indices, region):
+        """Keeps the arrays as read-only views once all but symmetry is checked."""
         _check_geometry(positions, radius)
-        indptr, indices = np.asarray(indptr), np.asarray(indices)
         _check_csr(len(positions), indptr, indices)
         dtype = _index_dtype(len(positions), len(indices))
         self.positions = _read_only(positions)
@@ -102,6 +105,27 @@ def _check_csr(n, indptr, indices):
     up[starts[(starts > 0) & (starts < m)] - 1] = True
     if not up.all():
         raise ValueError("adjacency rows must be strictly increasing, with no id twice")
+
+
+def _check_symmetric(indptr, indices):
+    """ValueError unless the CSR, whose rows ``_check_csr`` has accepted,
+    lists each edge from both of its ends, as the path kernel's unchecked
+    writes need (see ``centrality._matmat``).  Read as CSC, the arrays are
+    the transpose, which one counting sort turns into sorted rows."""
+    import scipy.sparse as sp
+
+    n = len(indptr) - 1
+    t = sp.csc_array((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n)).tocsr()
+    if not (np.array_equal(t.indptr, indptr) and np.array_equal(t.indices, indices)):
+        raise ValueError("adjacency must list each edge from both of its ends")
+
+
+def _network(positions, radius, indptr, indices, region):
+    """A SensorNetwork over a CSR from ``_csr_from_pairs``, symmetric by
+    construction and held by no caller, so neither tested nor copied."""
+    network = SensorNetwork.__new__(SensorNetwork)
+    network._adopt(positions, radius, indptr, indices, region)
+    return network
 
 
 def _edge_blocks(network):
@@ -176,8 +200,7 @@ def adjacency_from_positions(positions, radius):
 def build_network(region, n, radius, seed):
     """Sample ``n`` uniform node positions and connect them unit-disk style."""
     pos = geometry.sample_uniform(region, n, seed)
-    indptr, indices = adjacency_from_positions(pos, radius)
-    return SensorNetwork(pos, radius, indptr, indices, region=region)
+    return _network(pos, radius, *adjacency_from_positions(pos, radius), region=region)
 
 
 def expected_degree(region_area, n, radius):
@@ -227,11 +250,11 @@ def ground_truth(network, band=None):
 # the file past its first n + 1 lines.  Any line that loadtxt does not take
 # makes the file not clean.  No input on which loadtxt warns reaches it: a
 # section of blank lines only is decided first, and numpy >= 2 raises on a
-# float id.  The bulk path leaves repeated edges to the SensorNetwork
-# constructor, whose ``_check_csr`` finds them as a row that repeats an id.
-# A file that the bulk path does not take, or whose arrays the constructor
+# float id.  The bulk path leaves repeated edges to ``_network``, whose
+# ``_check_csr`` finds them as a row that repeats an id.
+# A file that the bulk path does not take, or whose arrays ``_network``
 # rejects, goes to the per-line scan ``_scan_lines``, which decides on which
-# line the error is.  What the bulk path and the constructor accept, the
+# line the error is.  What the bulk path and ``_network`` accept, the
 # scan accepts too and builds the same arrays from: loadtxt parses ints and
 # floats as int() and float() do, bit for bit, but takes fewer spellings
 # (no "1_0"), and those go to the scan.
@@ -269,10 +292,10 @@ def load_network(path, region=None):
     arrays = _read_bulk(path)
     if arrays is not None:
         try:
-            return SensorNetwork(*arrays, region=region)
+            return _network(*arrays, region=region)
         except ValueError:  # a repeated edge, which the scan reports at its line
             pass
-    return SensorNetwork(*_scan_lines(path), region=region)
+    return _network(*_scan_lines(path), region=region)
 
 
 def _plain(buf):

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st_
 
 import boundarykit as bk
-from boundarykit import centrality
+from boundarykit import centrality, netgen
 
 import oracles
 
@@ -225,34 +225,63 @@ def test_permutation_invariance():
         assert np.array_equal(fn(padj)[perm], base)
 
 
+def _renamed(net, perm):
+    """``net`` with node v renamed perm[v]."""
+    adj = [[] for _ in range(net.n)]
+    for v in range(net.n):
+        adj[perm[v]] = sorted(int(perm[w]) for w in net.neighbors(v))
+    pos = np.empty_like(net.positions)
+    pos[perm] = net.positions
+    return bk.SensorNetwork(pos, net.radius, *centrality.as_csr(adj))
+
+
 def test_relabelling_leaves_path_measures_unchanged(monkeypatch):
-    # the kernel runs in reverse Cuthill-McKee order and maps results back,
-    # so a relabelled graph gives the relabelled results, over several
-    # components and isolated nodes
+    # the kernel runs in its own order and maps results back, so a
+    # relabelled graph gives the relabelled results, over several
+    # components and isolated nodes; betweenness sums its floats in the
+    # kernel's order, so it may move in the last bits
     adj = _pieces() + [[], []]
     n = len(adj)
     perm = np.random.default_rng(8).permutation(n)
     padj = [[] for _ in range(n)]
     for v, nb in enumerate(adj):
         padj[perm[v]] = sorted(int(perm[w]) for w in nb)
-    order = centrality._rcm_csr(*centrality.as_csr(padj))[0]
+    order = centrality._relabel(padj)[0]
     assert not np.array_equal(order, np.arange(n))
+    # a network, whose kernel order follows its positions, not its ids
+    net = bk.build_network(bk.square_with_hole(5.0, 1.5), 90, 0.8, seed=3)
+    npos = np.random.default_rng(9).permutation(net.n)
+    pnet = _renamed(net, npos)
+    lists = [list(pnet.neighbors(v)) for v in range(pnet.n)]
+    kernel, indptr, indices, first, _ = centrality._relabel(pnet)
+    assert not np.array_equal(kernel, centrality._relabel(lists)[0])
+    # the relabelled CSR is P A P^T, rows sorted
+    netgen._check_csr(pnet.n, indptr, indices)
+    a = centrality._adjacency(pnet.indptr, pnet.indices).toarray()
+    assert np.array_equal(centrality._adjacency(indptr, indices).toarray(), a[kernel][:, kernel])
+    x, y = pnet.positions.T
+    cell = np.argsort(np.lexsort((x, np.floor(y / pnet.radius))))  # each node's place
+    for lo in np.unique(first):  # within a component, nodes go in cell order
+        ids = kernel[lo:][first[lo:] == lo]
+        assert np.all(np.diff(cell[ids]) > 0)
 
     measures = {"stress": bk.stress_centrality, "betweenness": bk.betweenness_centrality,
                 **{f"rstress{d}": partial(bk.restricted_stress, delta=d) for d in (1, 2)}}
     for name, fn in measures.items():
-        base = fn(adj)
-        if name == "betweenness":
-            np.testing.assert_allclose(fn(padj)[perm], base, rtol=1e-12)
-        else:
-            assert np.array_equal(fn(padj)[perm], base), name
+        for graph, renamed, ids in ((adj, padj, perm), (net, pnet, npos)):
+            base = fn(graph)
+            if name == "betweenness":
+                np.testing.assert_allclose(fn(renamed)[ids], base, rtol=1e-12)
+            else:
+                assert np.array_equal(fn(renamed)[ids], base), name
 
     # several blocks, so the workers share them; the sums stay bitwise equal
     monkeypatch.setattr(centrality, "_ENTRY_BUDGET", 2 * n)
     runs = {}
     for w in (1, 2, 4):
         monkeypatch.setenv(centrality.WORKERS_ENV, str(w))
-        runs[w] = {name: fn(padj) for name, fn in measures.items()}
+        runs[w] = {(name, g): fn(graph) for name, fn in measures.items()
+                   for g, graph in (("lists", padj), ("network", pnet))}
     for w in (2, 4):
         for name, values in runs[w].items():
             assert values.tobytes() == runs[1][name].tobytes(), (w, name)
@@ -526,10 +555,25 @@ def test_mixed_integer_rows_accepted():
 
 
 def test_one_way_network_rejected():
-    # a network built by hand is checked by the path kernel itself
-    net = bk.SensorNetwork(np.zeros((2, 2)), 1.0, [0, 1, 1], [1])
-    with pytest.raises(ValueError, match="both of its ends"):
-        bk.stress_centrality(net)
+    # a network built by hand is checked for symmetry by its constructor,
+    # so no function that takes it sees a one-way edge
+    for n, indptr, indices in ((2, [0, 1, 1], [1]), (3, [0, 2, 2, 2], [1, 2])):
+        with pytest.raises(ValueError, match="both of its ends"):
+            bk.SensorNetwork(np.zeros((n, 2)), 1.0, indptr, indices)
+
+
+def test_huge_coordinates_order_quietly():
+    # the kernel's cell key y / radius overflows to inf here, which must not
+    # warn, and a network's results equal those of its adjacency lists
+    awkward = [0.1, 1e-300, 5e-324, 123456789.123, 1e16, 0.30000000000000004,
+               -0.0, -2.5e-17, 1.7976931348623157e308, 3.0]
+    pos = np.array([awkward, awkward[::-1]]).T.copy()
+    path = [[w for w in (v - 1, v + 1) if 0 <= w < len(pos)] for v in range(len(pos))]
+    net = bk.SensorNetwork(pos, 0.1, *centrality.as_csr(path))
+    assert np.array_equal(bk.stress_centrality(net), bk.stress_centrality(path))
+    assert np.array_equal(bk.restricted_stress(net, 2), bk.restricted_stress(path, 2))
+    np.testing.assert_allclose(bk.betweenness_centrality(net), bk.betweenness_centrality(path),
+                               rtol=1e-12)
 
 
 @pytest.mark.parametrize("values", [
@@ -700,24 +744,27 @@ def test_blocks_across_interleaved_components(monkeypatch, budget):
             assert got.tobytes() == one.tobytes(), w
 
 
-def test_components_contiguous_whatever_rcm_returns(monkeypatch):
-    # the kernel's layout needs each component's ids contiguous, which the
-    # relabelling guarantees even when RCM leaves components interleaved
+def test_lists_keep_their_order_within_components(monkeypatch):
+    # adjacency lists have no positions, so the kernel keeps their order,
+    # and still makes each component contiguous, larger components first
     from scipy.sparse import csgraph
-
-    def identity(graph, symmetric_mode=False):
-        return np.arange(graph.shape[0], dtype=np.int32)
 
     adj = _interleaved()
     want = _exact(adj)
-    monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", identity)
-    perm, _, _, first, end = centrality._rcm_csr(*centrality.as_csr(adj))
-    _, label = csgraph.connected_components(centrality._adjacency(*centrality.as_csr(adj)))
+    perm, indptr, indices, first, size = centrality._relabel(adj)
+    a = centrality._adjacency(*centrality.as_csr(adj))
+    _, label = csgraph.connected_components(a)
     label = label[perm]
     for v in range(len(adj)):
-        assert set(label[first[v]:end[v]]) == {label[v]}
-        assert end[v] - first[v] == np.count_nonzero(label == label[v])
-    assert np.all(np.diff(end - first) <= 0)  # larger components first
+        assert set(label[first[v]:first[v] + size[v]]) == {label[v]}
+        assert size[v] == np.count_nonzero(label == label[v])
+        assert np.all(np.diff(perm[label == label[v]]) > 0)  # the given order
+    assert np.all(np.diff(size) <= 0)  # larger components first
+    # the relabelled CSR is P A P^T, rows sorted, in the graph's index dtype
+    netgen._check_csr(len(adj), indptr, indices)
+    assert indptr.dtype == indices.dtype == np.int32
+    got = centrality._adjacency(indptr, indices)
+    assert np.array_equal(got.toarray(), a.toarray()[perm][:, perm])
     for budget in (1, 30, 1 << 20):
         monkeypatch.setattr(centrality, "_ENTRY_BUDGET", budget)
         _assert_exact(adj, want, budget)

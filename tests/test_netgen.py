@@ -499,9 +499,9 @@ def test_load_network_from_pipe(tmp_path):
 
 
 def test_file_rows_checked_once(tmp_path, monkeypatch):
-    # the constructor's _check_csr is the one row check of a file that the
-    # bulk reader takes; a repeated edge gets past that reader, and the
-    # line scan then names its second line
+    # the _check_csr of the network built from it is the one row check of
+    # a file that the bulk reader takes; a repeated edge gets past that
+    # reader, and the line scan then names its second line
     checks, scans = [], []
     check, scan = netgen._check_csr, netgen._scan_lines
     monkeypatch.setattr(netgen, "_check_csr", lambda *a: checks.append(a) or check(*a))
@@ -671,6 +671,35 @@ def test_network_arrays_read_only():
         base[0] = 1  # the caller's array stays writeable
     with pytest.raises(ValueError):
         net.neighbors(0)[0] = 2
+
+
+def test_network_keeps_its_checked_csr():
+    # the constructor copies the CSR arrays it checks, so a later write to
+    # the caller's arrays cannot make the network one-way
+    indptr, indices = np.array([0, 1, 2], np.int32), np.array([1, 0], np.int32)
+    net = bk.SensorNetwork(np.zeros((2, 2)), 1.0, indptr, indices)
+    indices[0] = 0
+    assert net.indices.tolist() == [1, 0]
+
+
+def test_symmetry_checked_where_not_built(tmp_path, monkeypatch):
+    # build_network and load_network make the CSR from edge pairs, listed
+    # from both ends, so only a network built by hand is tested for symmetry
+    calls = []
+    check = netgen._check_symmetric
+    monkeypatch.setattr(netgen, "_check_symmetric", lambda *a: calls.append(a) or check(*a))
+    net = bk.build_network(bk.square_with_hole(4.0, 1.0), 60, 1.0, seed=2)
+    p = tmp_path / "net.txt"
+    bk.save_network(net, p)
+    got = bk.load_network(p)
+    scans = []
+    scan = netgen._scan_lines
+    monkeypatch.setattr(netgen, "_scan_lines", lambda q: scans.append(q) or scan(q))
+    p.write_text("2 1.0\n0_0 0.0 0.0\n1 0.5 0.0\n0 1\n")  # an id that loadtxt refuses
+    assert bk.load_network(p).indices.tolist() == [1, 0] and scans
+    assert not calls
+    bk.SensorNetwork(got.positions, got.radius, got.indptr, got.indices)
+    assert len(calls) == 1
 
 
 def test_load_network_error_carries_line(tmp_path):
