@@ -11,11 +11,12 @@ Stress, betweenness and restricted stress share one kernel, Brandes'
 algorithm as sparse products: blocks of sources walk forward one BFS level
 per product with the adjacency, then sum dependencies back up.  The kernel
 runs on the graph relabelled in a network's position order, which gives
-neighbours nearby ids, with each component's ids made contiguous, and
-maps each result back to the caller's ids; a component of at most 2 nodes
-has no interior node, so it runs no source.  A block lays its sources out
-as a dense rows x W array, W its largest component, where row r holds
-node v at v less the first id of its source's component.  A level is the entries of its product whose slot no
+neighbours nearby ids, with each component's ids made contiguous; it sums
+in those ids and maps the total to the caller's ids once per call.  A
+component of at most 2 nodes has no interior node, so it runs no source.
+A block lays its sources out as a dense rows x W array, W its largest
+component, where row r holds node v at v less the first id of its
+source's component.  A level is the entries of its product whose slot no
 earlier level reached; its slots are kept, and its indptr is where they pass
 the rows' bounds.  A product is scipy's numeric SpGEMM pass alone, without
 the symbolic pass that sizes its output: it writes into buffers that the
@@ -112,7 +113,7 @@ def _relabel(graph):
     keep their order.  The transpose of the gathered, renamed rows sorts
     them, and by symmetry is the relabelled graph.
     """
-    a = _adjacency(*as_csr(graph))
+    a = _adjacency(*as_csr(graph), bool)  # one byte per entry to gather and transpose
     label, size = _components(a)
     keys = (label, -size[label])
     if isinstance(graph, SensorNetwork):
@@ -203,8 +204,8 @@ def _product(x, a, span):
 
 
 def _components(a):
-    """The component label of each node of the adjacency ``a`` (float, so
-    that csgraph does not copy it) and the size of each component."""
+    """The component label of each node of the adjacency ``a`` and the size of
+    each component; csgraph copies an ``a`` that is not float64 to float64."""
     from scipy.sparse.csgraph import connected_components
 
     # the strong components of a symmetric adjacency are its components, and
@@ -250,12 +251,12 @@ class _Span:
     def __init__(self, rel, first, size):
         dtype = rel.indices.dtype
         self.rel, self.rows = rel, len(first)
-        self.width = int(size[0]) if self.rows else 0
+        self.width = int(size[0])
         self.len = self.rows * self.width
         self.bounds = np.arange(self.rows + 1, dtype=dtype) * self.width
         self.starts = self.bounds[:-1] - first.astype(dtype, copy=False)
-        self.lo = int(first[0]) if self.rows else 0
-        self.ids = int(first[-1] + size[-1]) - self.lo if self.rows else 0
+        self.lo = int(first[0])
+        self.ids = int(first[-1] + size[-1]) - self.lo
         fill = int(size.sum())
         self.out = (np.empty(self.rows + 1, dtype=rel.indptr.dtype),
                     np.empty(fill, dtype=dtype), np.empty(fill, dtype=rel.dtype))
@@ -362,9 +363,9 @@ def _run_sources(graph, dtype, depth, block_sum, workers):
     """Sum block_sum(levels, a, span) over blocks of sources, in block order.
 
     ``a`` is the adjacency in ``dtype``, over the CSR that ``_relabel``
-    gives; a block's sum is indexed by the ids of its components,
-    from ``span.lo``, in its last axis, and is added into the total at the
-    caller's ids.
+    gives; a block's sum, one row of floats or two of 32-bit halves, is
+    indexed by the ids of its components, from ``span.lo``, in its last axis,
+    and is added into the total in those ids, which maps to the caller's once.
     A component of at most 2 nodes has no interior node, so its nodes are
     no sources.  A block holds consecutive sources whose rows times largest
     component, the size of its ``_Span``, is at most _ENTRY_BUDGET (or a
@@ -379,8 +380,7 @@ def _run_sources(graph, dtype, depth, block_sum, workers):
     # _relabel puts the components of at most 2 nodes last, and larger ones
     # first, so the sources are a prefix whose component sizes never grow
     sources = np.count_nonzero(size > 2)
-    # no sources run one empty block, which gives the total its shape
-    blocks = _span_blocks(size[:sources], _ENTRY_BUDGET) or [(0, 0)]
+    blocks = _span_blocks(size[:sources], _ENTRY_BUDGET)
 
     def run(block):
         lo, hi = block
@@ -389,15 +389,13 @@ def _run_sources(graph, dtype, depth, block_sum, workers):
         span = _Span(rel, first[lo:hi], size[lo:hi])
         return span.lo, block_sum(_levels(a, level, span, depth), a, span)
 
-    def add(total, result):
-        lo, s = result
-        if total is None:
-            total = np.zeros(s.shape[:-1] + (n,), dtype=s.dtype)
-        total[..., perm[lo:lo + s.shape[-1]]] += s  # in the caller's ids
-        return total
-
+    total = np.zeros((2, n) if a.dtype.kind == "i" else n, dtype=a.dtype)
     w = min(resolve_workers(workers), len(blocks))
-    return reduce(add, ordered_map(run, blocks, w), None)
+    for lo, s in ordered_map(run, blocks, w):
+        total[..., lo:lo + s.shape[-1]] += s
+    out = np.empty_like(total)
+    out[..., perm] = total  # in the caller's ids
+    return out
 
 
 def stress_centrality(graph, workers=None):
@@ -431,8 +429,8 @@ def khop_size(graph, k):
     up to k steps and by the component sizes, sum to at most _ENTRY_BUDGET;
     a block stops early once its balls stop growing.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     indptr, indices = as_csr(graph)
     bound = _reach(indptr, indices, k)
     n = len(bound)
@@ -456,12 +454,12 @@ def restricted_stress(graph, delta, workers=None):
     constrained to the hop ball.  For a connected graph and delta >= its
     diameter this equals plain stress.  NumericalError as for stress.
     """
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
+    if not isinstance(delta, (int, np.integer)) or delta < 1:
+        raise ValueError(f"delta must be an integer >= 1, got {delta!r}")
     # a target at DAG depth i <= delta below a node at level j <= delta is
     # within delta hops of it, and lies at level j + i <= 2 * delta
-    sums = partial(_path_count_sums, delta=delta)
-    return _join(_run_sources(graph, np.int64, 2 * delta, sums, workers))
+    sums = partial(_path_count_sums, delta=int(delta))
+    return _join(_run_sources(graph, np.int64, 2 * int(delta), sums, workers))
 
 
 def stress1(graph):
@@ -552,6 +550,6 @@ def compute(graph, measure, k=None, delta=None, workers=None):
         if name in needed:
             if value is None:
                 raise ValueError(f"measure {measure!r} requires {name}")
-            params[name] = int(value)
+            params[name] = value  # the measure checks it
     threads = {"workers": workers} if "workers" in needed else {}
     return CentralityResult(measure, func(graph, **params, **threads), params)

@@ -179,10 +179,15 @@ def _csr_from_pairs(n, pairs):
     return indptr, key.astype(dtype, copy=False)
 
 
+def _check_positive(name, value):
+    """ValueError unless ``value`` is positive and finite."""
+    if not 0 < value < np.inf:  # false for nan
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def _check_geometry(positions, radius):
     """ValueError unless ``radius`` is positive and finite and every coordinate is finite."""
-    if not 0 < radius < np.inf:  # false for nan
-        raise ValueError("radius must be positive and finite")
+    _check_positive("radius", radius)
     if not np.isfinite(positions).all():
         raise ValueError("node coordinates must be finite")
 
@@ -205,8 +210,8 @@ def build_network(region, n, radius, seed):
 
 def expected_degree(region_area, n, radius):
     """Expected interior degree (n - 1) * pi * r^2 / area."""
-    if region_area <= 0:
-        raise ValueError("region area must be positive")
+    _check_positive("region area", region_area)
+    _check_positive("radius", radius)
     if n <= 0:
         return 0.0
     return (n - 1) * np.pi * radius * radius / region_area
@@ -214,6 +219,8 @@ def expected_degree(region_area, n, radius):
 
 def radius_for_degree(region_area, n, degree):
     """Radius giving the requested expected interior degree."""
+    _check_positive("region area", region_area)
+    _check_positive("degree", degree)
     if n <= 1:
         raise ValueError("need n >= 2 to target a degree")
     return float(np.sqrt(degree * region_area / ((n - 1) * np.pi)))
@@ -227,8 +234,7 @@ def ground_truth(network, band=None):
     if network.region is None:
         raise ValueError("network has no region; ground truth is undefined")
     b = network.radius if band is None else float(band)
-    if not 0 < b < np.inf:  # false for nan
-        raise ValueError("band width must be positive and finite")
+    _check_positive("band width", b)
     d = geometry.distances_to_boundary(network.region, network.positions)
     return d < b
 

@@ -168,7 +168,13 @@ class StDistribution:
             lines = fh.read().splitlines()
         if len(lines) < 3 or not lines[0].startswith("# "):
             raise ValueError(f"{path}: not an st-distribution CSV")
-        meta = json.loads(lines[0][2:])
+        try:
+            meta = json.loads(lines[0][2:])
+            s, mu, mean, stddev = (float(meta[k]) for k in ("s", "mu", "mean", "stddev"))
+            samples = int(meta["samples"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: expected numeric s, mu, samples, mean and stddev "
+                             f"in the header ({exc!r})") from None
         lows, highs, counts = [], [], []
         for row in lines[2:]:
             if not row:
@@ -180,10 +186,8 @@ class StDistribution:
         if not lows or lows[1:] != highs[:-1]:
             raise ValueError(f"{path}: expected bins that abut, got {len(lows)} rows")
         edges = np.array(lows + [highs[-1]])
-        return cls(s=float(meta["s"]), mu=float(meta["mu"]),
-                   samples=int(meta["samples"]), bin_edges=edges,
-                   counts=np.array(counts, dtype=np.int64),
-                   mean=float(meta["mean"]), stddev=float(meta["stddev"]))
+        return cls(s=s, mu=mu, samples=samples, bin_edges=edges,
+                   counts=np.array(counts, dtype=np.int64), mean=mean, stddev=stddev)
 
 
 def _draw_clipped(rng, count, s):

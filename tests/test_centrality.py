@@ -1,5 +1,6 @@
 """Centrality indices against hand-worked cases and brute-force oracles."""
 
+import time
 from functools import partial
 
 import numpy as np
@@ -48,6 +49,27 @@ def test_khop_path3():
 def test_khop_k_zero_rejected():
     with pytest.raises(ValueError):
         bk.khop_size(PATH3, 0)
+
+
+@pytest.mark.parametrize("radius", [1.5, 1.9, 2.0, np.float64(1.0), "1", 0, np.int64(-1)])
+def test_hop_radius_not_a_positive_integer_rejected(monkeypatch, radius):
+    # k and delta count hops: anything but an integer >= 1 is refused before
+    # the graph is read, and compute neither truncates it nor records it
+    monkeypatch.setattr(centrality, "as_csr", None)  # reading the graph raises TypeError
+    for call in (partial(bk.khop_size, PATH4, radius), partial(bk.restricted_stress, PATH4, radius),
+                 partial(bk.compute, PATH4, "khop", k=radius),
+                 partial(bk.compute, PATH4, "rstress", delta=radius)):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            call()
+
+
+@pytest.mark.parametrize("kind", [int, np.int32, np.int64, np.uint8])
+def test_hop_radius_numpy_integers(kind):
+    assert bk.khop_size(CYCLE5, kind(2)).tolist() == [4] * 5
+    assert bk.restricted_stress(PATH4, kind(1)).tolist() == [0, 2, 2, 0]
+    assert bk.restricted_stress(PATH4, kind(200)).tolist() == [0, 4, 4, 0]
+    res = bk.compute(CYCLE5, "khop", k=kind(2))
+    assert res.values.tolist() == [4] * 5 and res.params == {"k": 2}
 
 
 def test_khop_saturates_at_component():
@@ -511,8 +533,8 @@ def test_self_loops_fit_the_buffers(monkeypatch, budget):
                       (looped, plain)]:
         fills.clear()
         _assert_exact(adj, _exact(bare), adj if len(adj) < 3 else "extremes")
-        assert fills and all(nnz <= length for _, nnz, length in fills), fills
-        assert any(rows for rows, _, _ in fills) == (len(adj) > 2), fills
+        assert all(nnz <= length for _, nnz, length in fills), fills
+        assert bool(fills) == any(rows for rows, _, _ in fills) == (len(adj) > 2), fills
 
 
 def _strips(graph):
@@ -682,8 +704,22 @@ def test_disjoint_edges_run_no_sources(monkeypatch):
         finally:
             tracemalloc.stop()
         assert len(values) == n and not values.any()
-        assert rows == [0], (measure.__name__, rows)  # one empty block
+        assert rows == [], (measure.__name__, rows)  # no block runs
         assert peak < 24 * 2**20, (measure.__name__, peak)
+
+
+def test_restricted_stress_at_20k_within_cpu_budget():
+    # 20k nodes at degree 10 run about 10,000 blocks of two sources; each
+    # block adds its sums into a contiguous slice of the total, and the total
+    # maps to the caller's ids once, which took 1.5 to 2.2 s of CPU at
+    # delta = 1 on a 2-core Xeon VM; a scatter to the caller's ids on every
+    # block took 7.1 to 8.7 s there
+    reg = bk.square_with_hole(10.0, 1.0)
+    net = bk.build_network(reg, 20_000, bk.radius_for_degree(bk.area(reg), 20_000, 10.0), seed=5)
+    bk.stress_centrality(PATH3)  # the first call imports csgraph
+    t = time.process_time()
+    bk.restricted_stress(net, 1, workers=1)
+    assert time.process_time() - t < 4.0
 
 
 def _interleaved():

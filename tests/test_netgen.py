@@ -167,6 +167,24 @@ def test_expected_degree_single_node_zero():
     assert bk.expected_degree(1.0, 1, 0.5) == 0.0
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_degree_helpers_reject_impossible_values(bad):
+    # a negative degree or area would take the square root of a negative
+    # number, a zero degree gives a radius that build_network refuses, and a
+    # nan would pass through
+    with pytest.raises(ValueError, match="degree must be positive and finite"):
+        bk.radius_for_degree(10.0, 100, bad)
+    with pytest.raises(ValueError, match="region area must be positive and finite"):
+        bk.radius_for_degree(bad, 100, 10.0)
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        bk.expected_degree(10.0, 100, bad)
+    with pytest.raises(ValueError, match="region area must be positive and finite"):
+        bk.expected_degree(bad, 100, 0.5)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        bk.radius_for_degree(10.0, 1, 10.0)
+    assert bk.expected_degree(10.0, 0, 0.5) == 0.0
+
+
 def test_radius_round_trip():
     for deg in (5.0, 20.0, 100.0):
         r = bk.radius_for_degree(7.3, 500, deg)

@@ -314,6 +314,21 @@ def test_distribution_csv_malformed_bins(tmp_path, rows):
         bk.StDistribution.from_csv(p)
 
 
+@pytest.mark.parametrize("meta", [
+    '{"s": 0.0}',
+    '{"s": 0.4, "mu": "x", "samples": 3, "mean": 0.5, "stddev": 0.1}',
+    '{"s": 0.4, "mu": 25.0, "samples": null, "mean": 0.5, "stddev": 0.1}',
+    '[0.4]',
+    '{"s": ',
+], ids=["missing", "text", "null", "not an object", "not json"])
+def test_distribution_csv_malformed_metadata(tmp_path, meta):
+    p = tmp_path / "dist.csv"
+    p.write_text(f"# {meta}\nbin_low,bin_high,count\n0.0,0.5,1\n")
+    with pytest.raises(ValueError, match="expected numeric s, mu") as info:
+        bk.StDistribution.from_csv(p)
+    assert str(p) in str(info.value)
+
+
 def test_distribution_csv_header(tmp_path):
     d = bk.sample_st(0.4, 25.0, 100, seed=6)
     p = tmp_path / "dist.csv"
