@@ -5,7 +5,15 @@ failure, such as a stress count beyond int64.  Thread counts come from
 the BOUNDARYKIT_WORKERS environment variable (default: available cores).
 
 Each subcommand imports only the submodules it runs, so a process pays the
-start-up of its own subcommand: ``theory`` and ``render`` load no scipy.
+start-up of its own subcommand:
+
+- ``generate`` loads ``scipy.spatial`` for its k-d tree, which brings
+  ``scipy.sparse``, ``scipy.linalg`` and ``scipy.special``;
+- ``centrality`` loads ``scipy.sparse``, and ``scipy.sparse.csgraph`` only
+  for the path measures and ``khop``;
+- ``protocol`` loads ``scipy.sparse`` alone: no csgraph, ``scipy.linalg``
+  or ``scipy.spatial``;
+- ``theory`` and ``render`` load no scipy.
 """
 
 from __future__ import annotations

@@ -27,9 +27,14 @@ abstract payload units (1 unit = one id, level, count, or threshold):
 
 The simulation is a pure function of the network and configuration.
 Disconnected networks are processed per component (each gets its own root,
-histogram and threshold); the trace flags this.  A round's numpy work
-follows what is sent in it, and no phase loops over nodes in Python: a
-flooding round pushes its senders' ids over their CSR rows only, and the
+histogram and threshold); the trace flags this.  The components and the
+BFS levels come from phases 1-2 themselves: at quiescence each node holds
+its component's smallest id, which names the component, and a BFS level is
+the round in which an announcement first reaches the node; an explicit
+root's component is what one BFS from it reaches.  So a run loads no
+``scipy.sparse.csgraph``.  A round's numpy work follows what is sent in
+it, and no phase loops over nodes in Python: a flooding or BFS round
+pushes its senders' messages over their CSR rows only, and the
 convergecast merges the histograms of one BFS level at a time, deepest
 first, as sorted (node, bucket) entries.
 """
@@ -49,7 +54,7 @@ RULES = ("core", "one-hop")
 # declares when its closed neighborhood holds at least _CORE_COUNT cores
 _CORE_DEPTH = 0.25
 _CORE_COUNT = 3
-# phase 1 pushes at most this many messages at a time, so that a round's
+# phases 1-2 push at most this many messages at a time, so that a round's
 # temporaries stay small whatever the number of edges; of the powers of two
 # timed at 20k nodes and degree 100, this one ran fastest
 _PUSH_BUDGET = 1 << 16
@@ -195,46 +200,84 @@ def _smoothed_mode(dense, window):
     return int(tied[np.argmax(dense[tied])])
 
 
-def _tree_phases(indptr, indices, adj, roots, participating, cap, trace):
-    """Phases 1-3 on the CSR graph and its scipy adjacency ``adj``: min-id
-    flooding among the ``participating`` nodes, the BFS tree from ``roots``
-    and the convergecast of degree histograms, degrees above ``cap`` in the
-    bucket cap + 1.  Logs their rounds on ``trace``; returns (level, parent,
-    histograms), ``histograms[c]`` the {degree bucket: count} merged at
-    ``roots[c]``, in bucket order.  Each round's work follows its messages.
-    """
-    from scipy.sparse.csgraph import dijkstra
+def _pushes(indptr, indices, senders):
+    """Each of ``senders`` sends one message over its CSR row, the adjacency
+    being symmetric; yields (lo, hi, to) for blocks of at most
+    _PUSH_BUDGET messages, ``to`` the receivers of senders[lo:hi] in row order."""
+    start = indptr[senders]
+    deg = indptr[senders + 1] - start
+    for lo, hi in _blocks(deg, _PUSH_BUDGET):
+        d = deg[lo:hi]
+        at = np.repeat(start[lo:hi] - np.cumsum(d, dtype=d.dtype) + d, d)
+        at += np.arange(len(at), dtype=at.dtype)
+        yield lo, hi, indices[at]
 
+
+def _bfs_levels(indptr, indices, roots):
+    """Hop count from the nearest of ``roots`` by pushes over the CSR rows,
+    one level at a time; -1 where no root reaches."""
+    level = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    level[roots] = 0
+    front, depth = roots, 0
+    while len(front):
+        depth += 1
+        for _, _, to in _pushes(indptr, indices, front):
+            level[to[level[to] < 0]] = depth
+        front = np.flatnonzero(level == depth)
+    return level
+
+
+def _tree_phases(indptr, indices, root, cap, trace):
+    """Phases 1-3 on the CSR graph: min-id flooding, the BFS tree and the
+    convergecast of degree histograms, degrees above ``cap`` in the bucket
+    cap + 1.  An explicit ``root`` (None for the min-id election) roots its
+    own component, which phase 1 skips.  Logs the rounds on ``trace``;
+    returns (comp, roots, level, parent, histograms): component ids ordered
+    by smallest member, each component's root, and ``histograms[c]`` the
+    {degree bucket: count} merged at ``roots[c]``, in bucket order.  Each
+    round's work follows its messages.
+    """
     n = len(indptr) - 1
     degs = np.diff(indptr)
     has_nbrs = degs > 0
 
+    # an explicit root's component is what a BFS from it reaches
+    level = np.full(n, -1) if root is None else _bfs_levels(indptr, indices, np.array([root]))
+    participating = level < 0
+
     # -- phase 1: min-id flooding.  A node whose id estimate fell sends it
-    # to its neighbors, its CSR row as the adjacency is symmetric; the rows
-    # of a round's senders are pushed in blocks of _PUSH_BUDGET messages.
+    # to its neighbors; the rows of a round's senders are pushed in blocks.
+    # At quiescence each node holds the smallest id of its component.
     best = np.arange(n, dtype=indices.dtype)
     senders = np.flatnonzero(participating & has_nbrs)
     while len(senders):
         trace._log_round(1, len(senders), len(senders))
         sent = best[senders]  # the estimates as they stood at the round's start
-        start, deg = indptr[senders], degs[senders]
+        deg = degs[senders]
         fell = []
-        for lo, hi in _blocks(deg, _PUSH_BUDGET):
-            d = deg[lo:hi]
-            at = np.repeat(start[lo:hi] - np.cumsum(d, dtype=d.dtype) + d, d)
-            at += np.arange(len(at), dtype=at.dtype)
-            to, ids = indices[at], np.repeat(sent[lo:hi], d)
-            lower = np.flatnonzero(ids < best[to])
+        for lo, hi, to in _pushes(indptr, indices, senders):
+            heard = np.repeat(sent[lo:hi], deg[lo:hi])
+            lower = np.flatnonzero(heard < best[to])
             to = to[lower]
-            np.minimum.at(best, to, ids[lower])
+            np.minimum.at(best, to, heard[lower])
             fell.append(distinct(to))
         senders = distinct(np.concatenate(fell))
+    if root is not None:
+        best[~participating] = np.argmin(participating)  # the rooted component's smallest id
+
+    # a component's id is the rank of its smallest id, which is its root
+    # unless an explicit root replaces it
+    smallest = best == np.arange(n)
+    comp = (np.cumsum(smallest) - 1)[best]
+    roots = np.flatnonzero(smallest)
+    if root is not None:
+        roots[comp[root]] = root
 
     # -- phase 2: BFS tree.  Each level announces in one round, roots with
     # (level) and everyone else with (level, parent), hence payloads 1 and 2;
-    # a node's parent is its smallest neighbor one level up.  The weights
-    # are ones, so distances are hop counts (unweighted=True copies them).
-    level = dijkstra(adj, indices=roots, min_only=True).astype(np.int64)
+    # a node's parent is its smallest neighbor one level up.  The levels come
+    # from the announcements pushed over the rows, as in phase 1.
+    level = np.maximum(level, _bfs_levels(indptr, indices, roots[participating[roots]]))
     for depth, senders in enumerate(np.bincount(level[has_nbrs])):
         trace._log_round(2, senders, (1 if depth == 0 else 2) * senders)
     # the lowest (level, id) place in a row is the smallest neighbor one level up
@@ -274,7 +317,8 @@ def _tree_phases(indptr, indices, adj, roots, participating, cap, trace):
     # the roots are the level-0 nodes, so the entries left are their histograms
     keys, counts = (codes % width).tolist(), counts.astype(np.int64).tolist()
     ends = np.searchsorted(codes, np.stack([roots, roots + 1]) * width).tolist()
-    return level, parent, [dict(zip(keys[lo:hi], counts[lo:hi])) for lo, hi in zip(*ends)]
+    histograms = [dict(zip(keys[lo:hi], counts[lo:hi])) for lo, hi in zip(*ends)]
+    return comp, roots, level, parent, histograms
 
 
 def run_protocol(graph, config=None):
@@ -282,8 +326,10 @@ def run_protocol(graph, config=None):
 
     ``labels`` is a boolean array, True where the node ends classified as
     boundary.  ``graph`` may be a SensorNetwork or plain adjacency lists.
-    Phase 5 reads the stress1 a network keeps, if ``centrality.stress1``
-    has counted it, and otherwise counts it without keeping it.
+    Phases 1-2 yield each node's component and BFS level, with no csgraph
+    call.  Phase 5 reads the stress1 a network keeps, if
+    ``centrality.stress1`` has counted it, and otherwise counts it without
+    keeping it.
     """
     if config is None:
         config = ProtocolConfig()
@@ -291,28 +337,16 @@ def run_protocol(graph, config=None):
     n = len(indptr) - 1
     if n == 0:
         raise ValueError("network must contain at least one node")
+    if config.root is not None and not (0 <= config.root < n):
+        raise ValueError(f"explicit root {config.root} is not a node id")
     degs = np.diff(indptr)
     adj = _adjacency(indptr, indices)
-
-    # component ids come ordered by each component's smallest node
-    comp, sizes = _components(adj)
-    comp = comp.astype(np.int64)
-    trace = ProtocolTrace(n=n, component_id=comp, degrees=degs.astype(np.int64))
-
-    # Component roots: explicit root wins its own component, every other
-    # component falls back to its minimum id (which is its BFS seed).
-    _, roots = np.unique(comp, return_index=True)
-    if config.root is not None:
-        if not (0 <= config.root < n):
-            raise ValueError(f"explicit root {config.root} is not a node id")
-        roots[comp[config.root]] = config.root
-
-    participating = np.ones(n, dtype=bool)  # phase 1 skips an explicitly rooted component
-    if config.root is not None:
-        participating = comp != comp[config.root]
+    trace = ProtocolTrace(n=n, degrees=degs.astype(np.int64))
     cap = config.degree_cap
-    level, parent, histograms = _tree_phases(indptr, indices, adj, roots, participating,
-                                             cap, trace)
+    comp, roots, level, parent, histograms = _tree_phases(indptr, indices, config.root,
+                                                          cap, trace)
+    trace.component_id = comp
+    sizes = np.bincount(comp)
 
     # -- phase 4: dhat and T at each root, flooded down the tree
     thresholds = np.zeros(len(sizes))

@@ -13,7 +13,10 @@ straight boundary the visible disk shrinks and the expectation drops;
 half-plane model: a node at distance s from the boundary, neighbor count
 Poisson(mu * A(s) / pi), neighbors uniform in the clipped unit disk.  Its
 random stream is fixed by the seed, the batch size and the per-batch
-chunking, so any change to those changes the samples.
+chunking, so any change to those changes the samples.  The far-pair count
+runs over blocks of about ``_CELL_BLOCK`` cells of the pair product, which
+bounds its memory and draws no random numbers, so the stream is the same
+whatever the block size.
 
 The module needs numpy only; it imports no scipy.
 """
@@ -35,6 +38,8 @@ _BATCH = 10_000
 _DEFAULT_BINS = 100
 # cap on elements of one pairwise-distance tensor, keeps memory modest
 _PAIR_BUDGET = 1 << 22
+# cells of the pair product that _far_pair_counts holds at once
+_CELL_BLOCK = 1 << 17
 # Gauss-Legendre nodes per dimension of the dense-limit quadratures; st_dense(1)
 # lands within 1e-5 of sigma
 _QUAD = 32
@@ -176,13 +181,17 @@ class StDistribution:
             raise ValueError(f"{path}: expected numeric s, mu, samples, mean and stddev "
                              f"in the header ({exc!r})") from None
         lows, highs, counts = [], [], []
-        for row in lines[2:]:
+        for lineno, row in enumerate(lines[2:], start=3):
             if not row:
                 continue
-            a, b, c = row.split(",")
-            lows.append(float(a))
-            highs.append(float(b))
-            counts.append(int(c))
+            try:
+                a, b, c = row.split(",")
+                lows.append(float(a))
+                highs.append(float(b))
+                counts.append(int(c))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: expected bin_low,bin_high,count, "
+                                 f"got {row!r}") from None
         if not lows or lows[1:] != highs[:-1]:
             raise ValueError(f"{path}: expected bins that abut, got {len(lows)} rows")
         edges = np.array(lows + [highs[-1]])
@@ -220,7 +229,9 @@ def _far_pair_counts(pts):
     pts has shape (k, N, 2).  The test d2(i, j) > 1 is rewritten as
     b_i + b_j - 2 p_i . p_j > 0 with b = |p|^2 - 1/2 and evaluated by one
     augmented matrix product in float32; the diagonal lands at -1 and is
-    excluded automatically.
+    excluded automatically.  The product, the test and the count run over
+    blocks of about _CELL_BLOCK cells, at least one realization each, in
+    two buffers allocated once.
     """
     k, nv, _ = pts.shape
     b = np.sum(pts * pts, axis=2, dtype=np.float32) - np.float32(0.5)
@@ -232,10 +243,19 @@ def _far_pair_counts(pts):
     right[:, :2, :] = pts.transpose(0, 2, 1)
     right[:, 2, :] = b
     right[:, 3, :] = 1.0
-    far = (left @ right > 0).reshape(k, nv * nv)
-    # a uint32 sum of the bytes is about twice as fast as count_nonzero along
-    # an axis; nv * nv stays below 2**32 for any nv whose tensor fits in memory
-    return far.view(np.uint8).sum(axis=1, dtype=np.uint32).astype(np.int64) // 2
+    step = max(1, _CELL_BLOCK // (nv * nv))
+    prod = np.empty((min(k, step), nv, nv), dtype=np.float32)
+    far = np.empty(prod.shape, dtype=bool)
+    out = np.empty(k, dtype=np.int64)
+    for lo in range(0, k, step):
+        c = min(step, k - lo)
+        np.matmul(left[lo:lo + c], right[lo:lo + c], out=prod[:c])
+        np.greater(prod[:c], 0, out=far[:c])
+        # a uint32 sum of the bytes is about twice as fast as count_nonzero
+        # along an axis; nv * nv stays below 2**32 for any nv that fits in memory
+        cells = far[:c].reshape(c, nv * nv).view(np.uint8)
+        out[lo:lo + c] = cells.sum(axis=1, dtype=np.uint32)
+    return out // 2
 
 
 def _sample_batch(seed, count, s, lam):

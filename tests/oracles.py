@@ -13,7 +13,7 @@ from collections import Counter, deque
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, csr_array
 
 from boundarykit.errors import FileFormatError
 from boundarykit.theory import clipped_disk_area
@@ -463,14 +463,26 @@ def load_network_lines(path):
 # Min-id flooding, the BFS tree and the convergecast of degree histograms as
 # ``run_protocol`` ran them before their rewrite, kept unchanged: one
 # gather over every edge per flooding round, and Counter histograms merged
-# node by node.  The signature is that of ``protocol._tree_phases``, so a
-# test can run the whole protocol on top of it.
+# node by node.  Components, roots and BFS levels come from csgraph, not
+# from the flooding.  The signature is that of ``protocol._tree_phases``, so
+# a test can run the whole protocol on top of it.
 
 
-def protocol_tree_phases(indptr, indices, adj, roots, participating, cap, trace):
-    """Phases 1-3, node by node: (level, parent, root histograms)."""
+def protocol_tree_phases(indptr, indices, root, cap, trace):
+    """Phases 1-3, node by node: (comp, roots, level, parent, root histograms)."""
     n = len(indptr) - 1
     degs = np.diff(indptr)
+    adj = csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
+
+    # component ids ordered by smallest member; an explicit root replaces
+    # its component's smallest id, and that component skips phase 1
+    _, comp = csgraph.connected_components(adj, directed=False)
+    comp = comp.astype(np.int64)
+    _, roots = np.unique(comp, return_index=True)
+    participating = np.ones(n, dtype=bool)
+    if root is not None:
+        roots[comp[root]] = root
+        participating = comp != comp[root]
 
     # -- phase 1: min-id flooding (skipped for an explicitly rooted component)
     best = np.arange(n, dtype=np.int32)  # int32 halves the per-edge gather below
@@ -527,4 +539,5 @@ def protocol_tree_phases(indptr, indices, adj, roots, participating, cap, trace)
         trace._log_round(3, senders, payload)
 
 
-    return level, parent, [{int(k): int(v) for k, v in sorted(hists[r].items())} for r in roots]
+    return comp, roots, level, parent, [{int(k): int(v) for k, v in sorted(hists[r].items())}
+                                        for r in roots]

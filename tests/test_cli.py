@@ -409,6 +409,14 @@ def test_cli_imports_only_what_it_runs(tmp_path, modules_after):
     assert not {m for m in loaded if m.startswith("scipy.spatial")}
     # nor csgraph, which only the path measures import
     assert not {m for m in loaded if m.startswith("scipy.sparse.csgraph")}
+    # the protocol runs on the sparse adjacency; its phases 1-2 give the
+    # components and levels, so no csgraph and no scipy.linalg, and the
+    # ground truth needs no k-d tree
+    loaded = scipy_after("protocol", "--network", "net.txt", "--region", "region.txt",
+                         "--out", "cls.csv", "--trace", "rounds.csv")
+    assert "scipy.sparse" in loaded
+    assert not {m for m in loaded if m.startswith(("scipy.sparse.csgraph", "scipy.linalg",
+                                                   "scipy.spatial"))}
     # theory and render need numpy only
     assert scipy_after("theory", "sigma") == set()
     assert scipy_after("theory", "dist", "--s", "0", "--mu", "20", "--samples", "500",

@@ -127,12 +127,13 @@ def test_empty_graph_rejected():
 
 
 def test_import_leaves_out_csgraph(modules_after):
-    # csgraph, whose import loads scipy.linalg, comes with the first run
+    # csgraph, whose import loads scipy.linalg, is not loaded by a run either:
+    # phases 1-2 give the components and levels
     def csgraph_after(code):
         return {m for m in modules_after(code) if m.startswith("scipy.sparse.csgraph")}
 
     assert csgraph_after("import boundarykit.protocol") == set()
-    assert csgraph_after("import boundarykit as bk\nbk.run_protocol([[1], [0]])")
+    assert csgraph_after("import boundarykit as bk\nbk.run_protocol([[1], [0]])") == set()
 
 
 # -- tree properties ---------------------------------------------------------
@@ -341,6 +342,39 @@ def test_tree_phases_match_reference(rule, budget, monkeypatch):
         assert trace.components[other].root == root
         trace = assert_matches_reference(net, monkeypatch, rule=rule, root=root, degree_cap=3)
         assert any(4 in c.histogram for c in trace.components)
+
+
+def pairs_among_singles(seed, pairs=30, singles=40):
+    """Adjacency lists of ``pairs`` 2-node components and ``singles``
+    isolated nodes, their ids shuffled; returns (adj, isolated ids)."""
+    ids = np.random.default_rng(seed).permutation(2 * pairs + singles)
+    adj = [[] for _ in ids]
+    for a, b in ids[:2 * pairs].reshape(pairs, 2).tolist():
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj, ids[2 * pairs:]
+
+
+@pytest.mark.parametrize("rule", protocol.RULES)
+def test_tree_phases_edge_cases(rule, monkeypatch):
+    adj, isolated = pairs_among_singles(3)
+    trace = assert_matches_reference(adj, monkeypatch, rule=rule)
+    assert len(trace.components) == 70
+    # an explicit root that is an isolated node, and one that is the larger
+    # id of a pair, so that it replaces the pair's smallest id
+    big = max(v for v, row in enumerate(adj) if row and row[0] < v)
+    for root in (int(isolated[0]), big):
+        trace = assert_matches_reference(adj, monkeypatch, rule=rule, root=root)
+        assert trace.components[trace.component_id[root]].root == root
+        assert trace.level[root] == 0 and trace.parent[root] == -1
+    trace = assert_matches_reference([[] for _ in range(5)], monkeypatch, rule=rule, root=3)
+    assert [c.root for c in trace.components] == [0, 1, 2, 3, 4]
+    # every message, a sender's row, is a block of its own
+    monkeypatch.setattr(protocol, "_PUSH_BUDGET", 1)
+    net = network(8, n=200, r=0.6)
+    assert_matches_reference(net, monkeypatch, rule=rule)
+    assert_matches_reference(net, monkeypatch, rule=rule, root=int(np.argmax(net.degrees)))
+    assert_matches_reference(adj, monkeypatch, rule=rule, root=big)
 
 
 def path_graph(ids):

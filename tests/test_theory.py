@@ -1,6 +1,7 @@
 """Lens geometry, the interior constant, st sampling and threshold errors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,13 +173,28 @@ def test_draw_clipped_several_rounds():
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("v", [2, 100, 200])
+@pytest.mark.parametrize("v", [2, 100, 200, 450])
 def test_far_pair_counts_matches_reference(v):
+    # at v = 100 the 30 realizations go in blocks of 13, 13 and 4; at v = 450
+    # one realization is more than a block, so each block holds one
     rng = np.random.default_rng(v)
     for s in (0.0, 1.0):
         pts = oracles.draw_clipped(rng, 30 * v, s).reshape(30, v, 2)
         got, want = theory._far_pair_counts(pts), oracles.far_pair_counts(pts)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_far_pair_counts_memory():
+    # the product, the test and the count go block by block, so the peak
+    # is about that of the (k, N, 4) factors, not of the (k, N, N) product
+    pts = oracles.draw_clipped(np.random.default_rng(7), 419 * 100, 0.0).reshape(419, 100, 2)
+    tracemalloc.start()
+    try:
+        theory._far_pair_counts(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -312,6 +328,17 @@ def test_distribution_csv_malformed_bins(tmp_path, rows):
                  "bin_low,bin_high,count\n" + rows)
     with pytest.raises(ValueError, match="bins that abut"):
         bk.StDistribution.from_csv(p)
+
+
+@pytest.mark.parametrize("row", ["0.5,1.0", "0.5,1.0,x", "0.5,high,2"],
+                         ids=["two fields", "count", "bound"])
+def test_distribution_csv_malformed_row(tmp_path, row):
+    p = tmp_path / "dist.csv"
+    p.write_text('# {"s": 0.4, "mu": 25.0, "samples": 3, "mean": 0.5, "stddev": 0.1}\n'
+                 f"bin_low,bin_high,count\n0.0,0.5,1\n{row}\n")
+    with pytest.raises(ValueError, match="line 4: expected bin_low,bin_high,count") as info:
+        bk.StDistribution.from_csv(p)
+    assert str(p) in str(info.value)
 
 
 @pytest.mark.parametrize("meta", [
