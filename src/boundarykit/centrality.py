@@ -429,7 +429,7 @@ def khop_size(graph, k):
     up to k steps and by the component sizes, sum to at most _ENTRY_BUDGET;
     a block stops early once its balls stop growing.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     indptr, indices = as_csr(graph)
     bound = _reach(indptr, indices, k)
@@ -454,7 +454,7 @@ def restricted_stress(graph, delta, workers=None):
     constrained to the hop ball.  For a connected graph and delta >= its
     diameter this equals plain stress.  NumericalError as for stress.
     """
-    if not isinstance(delta, (int, np.integer)) or delta < 1:
+    if isinstance(delta, bool) or not isinstance(delta, (int, np.integer)) or delta < 1:
         raise ValueError(f"delta must be an integer >= 1, got {delta!r}")
     # a target at DAG depth i <= delta below a node at level j <= delta is
     # within delta hops of it, and lies at level j + i <= 2 * delta

@@ -5,11 +5,12 @@ abstract payload units (1 unit = one id, level, count, or threshold):
 
 1. root election by min-id flooding until quiescence,
 2. BFS tree construction from the root, one round per level (parent =
-   first announcer, ties to the smallest id; announcements carry the chosen
-   parent so parents learn their children),
+   first announcer, ties to the smallest id, fixed by the push that first
+   reaches it; announcements carry it, so parents learn their children),
 3. convergecast of sparse degree histograms to the root,
-4. the root derives the typical degree dhat (argmax of the histogram after
-   a centered moving average) and floods T = theta * C(dhat, 2) down the tree,
+4. the root derives the typical degree dhat, the bucket whose centered
+   window holds the most nodes (ties to the larger raw count, then to the
+   smaller bucket), and floods T = theta * C(dhat, 2) down the tree,
 5. one neighbor-list exchange; each node computes stress1 locally and is a
    candidate iff stress1 <= T,
 6. the decision rule, then an optional filter round in which a declaration
@@ -33,10 +34,11 @@ its component's smallest id, which names the component, and a BFS level is
 the round in which an announcement first reaches the node; an explicit
 root's component is what one BFS from it reaches.  So a run loads no
 ``scipy.sparse.csgraph``.  A round's numpy work follows what is sent in
-it, and no phase loops over nodes in Python: a flooding or BFS round
-pushes its senders' messages over their CSR rows only, and the
-convergecast merges the histograms of one BFS level at a time, deepest
-first, as sorted (node, bucket) entries.
+it, and no phase loops over nodes or components in Python (only the
+trace's records are built one by one): a flooding or BFS round pushes its
+senders' messages over their CSR rows only, the convergecast merges the
+histograms of one BFS level at a time, deepest first, as sorted (node,
+bucket) entries, and phase 4 takes every root's entries in one exact pass.
 """
 
 from __future__ import annotations
@@ -187,44 +189,50 @@ class ProtocolTrace:
             classification="boundary" if self.labels[v] else "interior")
 
 
-def _smoothed_mode(dense, window):
-    """Argmax of the histogram after a centered moving average.
-
-    Smoothing a sharp spike produces a plateau of tied maxima; ties resolve
-    to the bucket with the largest raw count, then to the smallest index.
-    """
-    kernel = np.ones(window) / window
-    h = (window - 1) // 2  # mode="same" is this slice only if len(dense) >= window
-    smooth = np.convolve(dense.astype(float), kernel)[h:h + len(dense)]
-    tied = np.nonzero(smooth == smooth.max())[0]
-    return int(tied[np.argmax(dense[tied])])
-
-
-def _pushes(indptr, indices, senders):
+def _pushes(indptr, senders):
     """Each of ``senders`` sends one message over its CSR row, the adjacency
-    being symmetric; yields (lo, hi, to) for blocks of at most
-    _PUSH_BUDGET messages, ``to`` the receivers of senders[lo:hi] in row order."""
+    being symmetric; yields (lo, hi, at) for blocks of at most _PUSH_BUDGET
+    messages, ``at`` the CSR positions of the rows of senders[lo:hi] in order."""
     start = indptr[senders]
     deg = indptr[senders + 1] - start
     for lo, hi in _blocks(deg, _PUSH_BUDGET):
         d = deg[lo:hi]
         at = np.repeat(start[lo:hi] - np.cumsum(d, dtype=d.dtype) + d, d)
         at += np.arange(len(at), dtype=at.dtype)
-        yield lo, hi, indices[at]
+        yield lo, hi, at
 
 
-def _bfs_levels(indptr, indices, roots):
-    """Hop count from the nearest of ``roots`` by pushes over the CSR rows,
-    one level at a time; -1 where no root reaches."""
-    level = np.full(len(indptr) - 1, -1, dtype=np.int64)
+def _bfs_tree(indptr, indices, roots, level, parent):
+    """Phase 2 from ``roots``: pushes over the CSR rows, one level at a time,
+    set each node's ``level`` and ``parent``, its first announcer, which is
+    its smallest neighbor one level up, as senders push in id order."""
     level[roots] = 0
     front, depth = roots, 0
     while len(front):
         depth += 1
-        for _, _, to in _pushes(indptr, indices, front):
-            level[to[level[to] < 0]] = depth
+        for _, _, at in _pushes(indptr, front):
+            at = at[level[indices[at]] < 0]  # reached by no earlier block either
+            new, first = np.unique(indices[at], return_index=True)
+            level[new] = depth
+            parent[new] = np.searchsorted(indptr, at[first], side="right") - 1
         front = np.flatnonzero(level == depth)
-    return level
+
+
+def _smoothed_modes(keys, counts, width, window):
+    """dhat of every component from its root's histogram entries, sorted keys
+    component * width + bucket with their counts: the bucket whose centered
+    window of ``window`` buckets holds the most nodes, ties (a spike smooths
+    to a plateau) to the larger raw count, then to the smaller bucket.  Only
+    buckets near an entry hold any; the sums are exact below 2**53."""
+    near = keys[:, None] + np.arange(-(window // 2), window // 2 + 1)
+    inside = near // width == keys[:, None] // width  # cut off at 0 and width - 1
+    cand, at = np.unique(near[inside], return_inverse=True)
+    sums = np.bincount(at, np.broadcast_to(counts[:, None], near.shape)[inside])
+    raw = np.zeros(len(cand), dtype=counts.dtype)
+    raw[np.searchsorted(cand, keys)] = counts
+    comp = cand // width
+    best = np.lexsort((-raw, -sums, comp))  # stable, so smaller buckets first
+    return cand[best[np.unique(comp[best], return_index=True)[1]]] % width
 
 
 def _tree_phases(indptr, indices, root, cap, trace):
@@ -232,17 +240,20 @@ def _tree_phases(indptr, indices, root, cap, trace):
     convergecast of degree histograms, degrees above ``cap`` in the bucket
     cap + 1.  An explicit ``root`` (None for the min-id election) roots its
     own component, which phase 1 skips.  Logs the rounds on ``trace``;
-    returns (comp, roots, level, parent, histograms): component ids ordered
-    by smallest member, each component's root, and ``histograms[c]`` the
-    {degree bucket: count} merged at ``roots[c]``, in bucket order.  Each
-    round's work follows its messages.
+    returns (comp, roots, level, parent, keys, counts): component ids ordered
+    by smallest member, each component's root, and the histograms merged at
+    the roots as entries, sorted keys component * (cap + 2) + degree bucket
+    with their int64 counts.  Each round's work follows its messages.
     """
     n = len(indptr) - 1
     degs = np.diff(indptr)
     has_nbrs = degs > 0
 
-    # an explicit root's component is what a BFS from it reaches
-    level = np.full(n, -1) if root is None else _bfs_levels(indptr, indices, np.array([root]))
+    # an explicit root's component is what a BFS from it reaches, and that
+    # BFS is the component's phase 2
+    level, parent = np.full(n, -1), np.full(n, -1)
+    if root is not None:
+        _bfs_tree(indptr, indices, np.array([root]), level, parent)
     participating = level < 0
 
     # -- phase 1: min-id flooding.  A node whose id estimate fell sends it
@@ -255,10 +266,10 @@ def _tree_phases(indptr, indices, root, cap, trace):
         sent = best[senders]  # the estimates as they stood at the round's start
         deg = degs[senders]
         fell = []
-        for lo, hi, to in _pushes(indptr, indices, senders):
+        for lo, hi, at in _pushes(indptr, senders):
             heard = np.repeat(sent[lo:hi], deg[lo:hi])
-            lower = np.flatnonzero(heard < best[to])
-            to = to[lower]
+            lower = np.flatnonzero(heard < best[indices[at]])
+            to = indices[at[lower]]
             np.minimum.at(best, to, heard[lower])
             fell.append(distinct(to))
         senders = distinct(np.concatenate(fell))
@@ -275,18 +286,11 @@ def _tree_phases(indptr, indices, root, cap, trace):
 
     # -- phase 2: BFS tree.  Each level announces in one round, roots with
     # (level) and everyone else with (level, parent), hence payloads 1 and 2;
-    # a node's parent is its smallest neighbor one level up.  The levels come
-    # from the announcements pushed over the rows, as in phase 1.
-    level = np.maximum(level, _bfs_levels(indptr, indices, roots[participating[roots]]))
+    # the announcements are pushed over the rows, as in phase 1.
+    _bfs_tree(indptr, indices, roots[participating[roots]], level, parent)
     for depth, senders in enumerate(np.bincount(level[has_nbrs])):
         trace._log_round(2, senders, (1 if depth == 0 else 2) * senders)
-    # the lowest (level, id) place in a row is the smallest neighbor one level up
     order = np.argsort(level, kind="stable")
-    place = np.empty(n, dtype=np.int32)
-    place[order] = np.arange(n, dtype=np.int32)
-    parent = np.full(n, -1, dtype=np.int64)
-    parent[has_nbrs] = order[np.minimum.reduceat(place[indices], indptr[:-1][has_nbrs])]
-    parent[roots] = -1
 
     # -- phase 3: convergecast of sparse degree histograms, one BFS level at
     # a time from the deepest.  A level's histograms are sorted entries
@@ -314,11 +318,11 @@ def _tree_phases(indptr, indices, root, cap, trace):
                                 np.bincount(height[sends], 2 * size[sends])):
         trace._log_round(3, senders, payload)
 
-    # the roots are the level-0 nodes, so the entries left are their histograms
-    keys, counts = (codes % width).tolist(), counts.astype(np.int64).tolist()
-    ends = np.searchsorted(codes, np.stack([roots, roots + 1]) * width).tolist()
-    histograms = [dict(zip(keys[lo:hi], counts[lo:hi])) for lo, hi in zip(*ends)]
-    return comp, roots, level, parent, histograms
+    # the roots are the level-0 nodes, so the entries left are their
+    # histograms, which an explicit root can put out of component order
+    keys = comp[codes // width] * width + codes % width
+    by_comp = np.argsort(keys)
+    return comp, roots, level, parent, keys[by_comp], counts[by_comp].astype(np.int64)
 
 
 def run_protocol(graph, config=None):
@@ -326,8 +330,8 @@ def run_protocol(graph, config=None):
 
     ``labels`` is a boolean array, True where the node ends classified as
     boundary.  ``graph`` may be a SensorNetwork or plain adjacency lists.
-    Phases 1-2 yield each node's component and BFS level, with no csgraph
-    call.  Phase 5 reads the stress1 a network keeps, if
+    Phases 1-2 yield each node's component, BFS level and parent, with no
+    csgraph call.  Phase 5 reads the stress1 a network keeps, if
     ``centrality.stress1`` has counted it, and otherwise counts it without
     keeping it.
     """
@@ -342,22 +346,19 @@ def run_protocol(graph, config=None):
     degs = np.diff(indptr)
     adj = _adjacency(indptr, indices)
     trace = ProtocolTrace(n=n, degrees=degs.astype(np.int64))
-    cap = config.degree_cap
-    comp, roots, level, parent, histograms = _tree_phases(indptr, indices, config.root,
-                                                          cap, trace)
+    width = config.degree_cap + 2  # the buckets 0..cap and the overflow bucket
+    comp, roots, level, parent, keys, counts = _tree_phases(
+        indptr, indices, config.root, config.degree_cap, trace)
     trace.component_id = comp
-    sizes = np.bincount(comp)
 
-    # -- phase 4: dhat and T at each root, flooded down the tree
-    thresholds = np.zeros(len(sizes))
-    for ci, (root, hist) in enumerate(zip(roots.tolist(), histograms)):
-        dense = np.zeros(cap + 2, dtype=np.int64)  # the overflow bucket last
-        dense[list(hist)] = list(hist.values())
-        dhat = _smoothed_mode(dense, config.smoothing_window)
-        t_val = max(0.0, config.theta * dhat * (dhat - 1) / 2.0)
-        thresholds[ci] = t_val
-        trace.components.append(ComponentInfo(
-            root=root, size=int(sizes[ci]), dhat=dhat, threshold=t_val, histogram=hist))
+    # -- phase 4: dhat and T at every root, flooded down the tree; T = 0.0, not -0.0, at dhat 0
+    dhat = _smoothed_modes(keys, counts, width, config.smoothing_window)
+    thresholds = np.where(dhat > 1, config.theta * dhat * (dhat - 1) / 2.0, 0.0)
+    ends = np.searchsorted(keys, np.arange(len(roots) + 1) * width).tolist()
+    buckets, counts = (keys % width).tolist(), counts.tolist()
+    rows = zip(roots.tolist(), np.bincount(comp).tolist(), dhat.tolist(), thresholds.tolist())
+    trace.components = [ComponentInfo(*row, dict(zip(buckets[lo:hi], counts[lo:hi])))
+                        for row, lo, hi in zip(rows, ends, ends[1:])]
     for senders in np.bincount(level[distinct(parent[parent >= 0])]):
         trace._log_round(4, senders, 2 * senders)
 
@@ -387,8 +388,7 @@ def run_protocol(graph, config=None):
         src, dst = np.repeat(src, degs[src]), adj[src].indices
         lower = s_closed[dst] * closed[src] < s_closed[src] * closed[dst]
         rank = np.bincount(src[lower], minlength=n)
-        dhat = np.array([c.dhat for c in trace.components])[comp]
-        core &= rank <= dhat * (clipped_disk_area(_CORE_DEPTH) - np.pi / 2.0) / np.pi
+        core &= rank <= dhat[comp] * (clipped_disk_area(_CORE_DEPTH) - np.pi / 2.0) / np.pi
         # 6c: core flags out
         senders = np.count_nonzero(core & (degs > 0))
         trace._log_round(6, senders, senders)
@@ -433,7 +433,7 @@ def boundary_strips(graph, labels):
     Returns a list of sorted id arrays, largest component first (ties by
     smallest member id).
     """
-    adj = _adjacency(*as_csr(graph))
+    adj = _adjacency(*as_csr(graph), bool)  # one byte per entry to gather
     labels = np.asarray(labels, dtype=bool)
     if labels.shape != (adj.shape[0],):
         raise ValueError(f"labels must have one entry per node ({adj.shape[0]}), "

@@ -458,18 +458,32 @@ def load_network_lines(path):
 
 
 # ---------------------------------------------------------------------------
+# protocol phase 4
+
+
+def smoothed_mode(hist, window, cap):
+    """dhat of a {bucket: count} histogram over the buckets 0..cap + 1, trying
+    every bucket: the largest sum of the counts within window // 2 of it,
+    then the largest count at it, then the smallest bucket."""
+    h = window // 2
+    return max(range(cap + 2), key=lambda b: (
+        sum(hist.get(j, 0) for j in range(b - h, b + h + 1)), hist.get(b, 0), -b))
+
+
+# ---------------------------------------------------------------------------
 # protocol phases 1-3
 #
 # Min-id flooding, the BFS tree and the convergecast of degree histograms as
-# ``run_protocol`` ran them before their rewrite, kept unchanged: one
-# gather over every edge per flooding round, and Counter histograms merged
-# node by node.  Components, roots and BFS levels come from csgraph, not
-# from the flooding.  The signature is that of ``protocol._tree_phases``, so
-# a test can run the whole protocol on top of it.
+# ``run_protocol`` ran them before their rewrite: one gather over every
+# edge per flooding round, parents by (level, id) rank, and Counter
+# histograms merged node by node.  Components, roots and BFS levels come
+# from csgraph, not from the flooding.  The signature and the return are
+# those of ``protocol._tree_phases``, so a test can run the whole protocol
+# on top of it.
 
 
 def protocol_tree_phases(indptr, indices, root, cap, trace):
-    """Phases 1-3, node by node: (comp, roots, level, parent, root histograms)."""
+    """Phases 1-3, node by node: (comp, roots, level, parent, keys, counts)."""
     n = len(indptr) - 1
     degs = np.diff(indptr)
     adj = csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
@@ -538,6 +552,9 @@ def protocol_tree_phases(indptr, indices, root, cap, trace):
     for senders, payload in zip(np.bincount(height[sends]), payloads):
         trace._log_round(3, senders, payload)
 
-
-    return comp, roots, level, parent, [{int(k): int(v) for k, v in sorted(hists[r].items())}
-                                        for r in roots]
+    # the root histograms as entries: sorted keys component * (cap + 2) +
+    # bucket, with their counts
+    entries = [(c * (cap + 2) + k, v) for c, r in enumerate(roots)
+               for k, v in sorted(hists[r].items())]
+    keys, counts = np.array(entries, dtype=np.int64).T
+    return comp, roots, level, parent, keys, counts

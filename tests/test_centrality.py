@@ -51,10 +51,12 @@ def test_khop_k_zero_rejected():
         bk.khop_size(PATH3, 0)
 
 
-@pytest.mark.parametrize("radius", [1.5, 1.9, 2.0, np.float64(1.0), "1", 0, np.int64(-1)])
+@pytest.mark.parametrize("radius", [1.5, 1.9, 2.0, np.float64(1.0), "1", 0, np.int64(-1),
+                                    True, np.True_])
 def test_hop_radius_not_a_positive_integer_rejected(monkeypatch, radius):
-    # k and delta count hops: anything but an integer >= 1 is refused before
-    # the graph is read, and compute neither truncates it nor records it
+    # k and delta count hops: anything but an integer >= 1, a bool included,
+    # is refused before the graph is read, and compute neither truncates it
+    # nor records it
     monkeypatch.setattr(centrality, "as_csr", None)  # reading the graph raises TypeError
     for call in (partial(bk.khop_size, PATH4, radius), partial(bk.restricted_stress, PATH4, radius),
                  partial(bk.compute, PATH4, "khop", k=radius),

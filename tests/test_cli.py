@@ -236,6 +236,16 @@ def test_protocol_rule_one_hop(tmp_path, region_file):
     assert out.read_text() == (tmp_path / "core.csv").read_text()  # default rule
 
 
+def test_protocol_prints_zero_threshold_unsigned(tmp_path, capsys):
+    # a pair (dhat 1) and an isolated node (dhat 0) both have T = 0
+    netfile = tmp_path / "net.txt"
+    netfile.write_text("3 1.0\n0 0.0 0.0\n1 0.5 0.0\n2 5.0 5.0\n0 1\n")
+    assert main(["protocol", "--network", str(netfile), "--out", str(tmp_path / "c.csv")]) == 0
+    text = capsys.readouterr().out
+    assert "root=0 size=2 dhat=1 T=0\n" in text and "root=2 size=1 dhat=0 T=0\n" in text
+    assert "T=-0" not in text
+
+
 def test_protocol_theta_out_of_range(triangle_file, tmp_path):
     rc = main(["protocol", "--network", str(triangle_file), "--theta", "0.5",
                "--out", str(tmp_path / "c.csv")])

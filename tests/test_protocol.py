@@ -1,6 +1,7 @@
 """Distributed protocol simulation: phases, accounting, classification."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import dataclasses
@@ -96,6 +97,63 @@ def test_degrees_mostly_over_cap():
         assert comp.histogram == {1: 1, 11: 13}
         assert comp.dhat == 11
         assert comp.threshold == pytest.approx(11 * 10 / 6)
+
+
+# K5 less the edges 0-4, 1-4 and 2-3, plus the pendant edge 4-5
+TIED = [[1, 2, 3], [0, 2, 3], [0, 1, 4], [0, 1, 4], [2, 3, 5], [4]]
+
+
+def test_tied_windows_go_to_the_larger_raw_count():
+    # the width-5 windows at buckets 1, 2 and 3 all hold the 6 nodes, and
+    # bucket 3 holds 5 of them on its own
+    _, trace = default_run(TIED)
+    comp = trace.components[0]
+    assert comp.histogram == {1: 1, 3: 5}
+    assert comp.dhat == 3 and comp.threshold == 1.0
+
+
+@pytest.mark.parametrize("window", [1, 3, 5, 7])
+def test_smoothed_modes_match_brute_force(window):
+    # every component's mode in one call, against trying every bucket:
+    # runs of equal counts, whose windows tie, stray entries, the overflow
+    # bucket, histograms shorter than the window (caps 1-3) and Poisson
+    # degrees with a fifth of them thinned out
+    rng = np.random.default_rng(window)
+    for cap in (1, 2, 3, 8, 40, 1024):
+        hists = []
+        for i in range(60):
+            start = int(rng.integers(0, cap + 2))
+            run = range(start, min(start + int(rng.integers(1, 2 * window + 2)), cap + 2))
+            hist = Counter(dict.fromkeys(run, int(rng.integers(1, 4))))
+            hist.update(rng.integers(0, cap + 2, size=rng.integers(0, 4)).tolist())
+            if i % 3 == 0:
+                hist[cap + 1] += 1
+            hists.append(hist)
+        for degs in np.minimum(rng.poisson(20, size=(20, 300)), cap + 1):
+            hists.append(Counter(degs[rng.random(300) >= 0.2].tolist()))
+        width = cap + 2
+        entries = [(c * width + b, h[b]) for c, h in enumerate(hists) for b in sorted(h)]
+        keys, counts = np.array(entries, dtype=np.int64).T
+        got = protocol._smoothed_modes(keys, counts, width, window)
+        assert got.tolist() == [oracles.smoothed_mode(h, window, cap) for h in hists]
+
+
+def test_phase4_one_pass_for_all_components(monkeypatch):
+    # three isolated nodes, a pair and a triangle: one call finds every
+    # dhat, and T is 0.0, never -0.0, where dhat <= 1
+    calls = []
+    modes = protocol._smoothed_modes
+
+    def counted(*args):
+        calls.append(args)
+        return modes(*args)
+
+    monkeypatch.setattr(protocol, "_smoothed_modes", counted)
+    _, trace = default_run([[], [2], [1], [], [5, 6], [4, 6], [4, 5], []])
+    assert len(calls) == 1
+    assert [(c.dhat, c.threshold) for c in trace.components] == [
+        (0, 0.0), (1, 0.0), (0, 0.0), (2, 1 / 3), (0, 0.0)]
+    assert all(math.copysign(1.0, c.threshold) == 1.0 for c in trace.components)
 
 
 def test_star_filter_off():
@@ -616,6 +674,22 @@ def test_strips_split_and_order():
     strips = bk.boundary_strips(adj, labels)
     # largest first, the tie of two 2-strips by smallest id, each strip sorted
     assert [s.tolist() for s in strips] == [[3, 4, 5], [0, 1], [7, 8]]
+
+
+def test_strips_memory_per_adjacency_entry():
+    # the strips are labelled on a one-byte adjacency, so the peak stays
+    # under 10 bytes an adjacency entry; float64 ones alone would take 8
+    net = network(24, n=3000, side=12.5, r=1.0)  # mean degree about 57
+    labels, _ = default_run(net)
+    assert 0.2 < labels.mean() < 0.8
+    tracemalloc.start()
+    try:
+        strips = bk.boundary_strips(net, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, strips)) == labels.sum()
+    assert peak < 10 * len(net.indices), peak / len(net.indices)
 
 
 def test_strips_reject_label_length():
