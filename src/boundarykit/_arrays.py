@@ -11,3 +11,8 @@ def distinct(a):
     ``np.unique`` uses."""
     a = np.sort(a)
     return a[np.diff(a, prepend=-1) != 0]
+
+
+def is_integer(x):
+    """Whether ``x`` is a Python or numpy integer; a bool is not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)

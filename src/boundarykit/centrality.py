@@ -29,8 +29,8 @@ reads the buffer at the level's kept slots; no pass clears it.  A block's
 rows times W is at most ``_ENTRY_BUDGET``, which bounds its memory whatever
 n is.  Blocks run on ``workers`` threads and are summed in block order, so
 results do not depend on the worker count.  Integer counts are exact or
-raise NumericalError.  ``khop_size`` takes boolean products with I + A
-instead.
+raise NumericalError.  ``khop_size`` takes boolean products with I + A on
+the relabelled graph instead, and delta = 1 is 2 * ``stress1``, no kernel.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import scipy.sparse as sp
 # private functions, verified on scipy 1.17.1
 from scipy.sparse._sparsetools import csr_matmat, csr_todense
 
+from ._arrays import is_integer
 # the thread-count helpers live in a scipy-free module, so that theory can use
 # them; callers of the path measures import them from here
 from ._workers import WORKERS_ENV, ordered_map, resolve_workers
@@ -212,22 +213,6 @@ def _components(a):
     # need no transposed copy
     _, label = connected_components(a, connection="strong")
     return label, np.bincount(label)
-
-
-def _reach(indptr, indices, depth):
-    """Per node, a bound on the nodes within ``depth`` hops of it, itself
-    included: the walks of up to that many steps, capped at the component
-    size; the walk count stops early once it stops growing."""
-    a = _adjacency(indptr, indices)
-    label, size = _components(a)
-    bound = size[label]
-    walks = np.ones(len(label))
-    for _ in range(depth):  # Horner: 1 + A @ (walks of one step fewer)
-        grown = np.minimum(1.0 + a @ walks, bound)
-        if np.array_equal(grown, walks):
-            break
-        walks = grown
-    return walks
 
 
 class _Span:
@@ -425,17 +410,23 @@ def khop_size(graph, k):
     """Number of nodes within hop distance k of each node, excluding itself.
 
     The ball of radius k is the row pattern of (I + A)**k, taken by boolean
-    products over blocks of rows.  A block's balls, bounded by the walks of
-    up to k steps and by the component sizes, sum to at most _ENTRY_BUDGET;
-    a block stops early once its balls stop growing.
+    products over row blocks in ``_relabel``'s order.  A block's balls,
+    bounded by the walks of up to k steps and by the component sizes, sum
+    to at most _ENTRY_BUDGET; a block stops early once its balls stop growing.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+    if not is_integer(k) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    indptr, indices = as_csr(graph)
-    bound = _reach(indptr, indices, k)
-    n = len(bound)
-    step = _adjacency(indptr, indices, bool) + sp.eye_array(n, dtype=bool, format="csr")
-    out = np.empty(n, dtype=np.int64)
+    perm, indptr, indices, _, size = _relabel(graph)
+    a = _adjacency(indptr, indices)
+    bound = np.ones(len(perm))
+    for _ in range(k):  # Horner: 1 + A @ (walks of one step fewer)
+        grown = np.minimum(1.0 + a @ bound, size)
+        if np.array_equal(grown, bound):
+            break
+        bound = grown
+    del a  # the float adjacency is not held through the ball products
+    step = _adjacency(indptr, indices, bool) + sp.eye_array(len(perm), dtype=bool, format="csr")
+    out = np.empty(len(perm), dtype=np.int64)
     for lo, hi in _blocks(bound, _ENTRY_BUDGET):
         ball = step[lo:hi]
         for _ in range(k - 1):
@@ -443,7 +434,7 @@ def khop_size(graph, k):
             if grown.nnz == ball.nnz:
                 break
             ball = grown
-        out[lo:hi] = np.diff(ball.indptr) - 1
+        out[perm[lo:hi]] = np.diff(ball.indptr) - 1  # in the caller's ids
     return out
 
 
@@ -452,10 +443,17 @@ def restricted_stress(graph, delta, workers=None):
 
     Shortest paths are full-graph shortest paths; only the endpoints are
     constrained to the hop ball.  For a connected graph and delta >= its
-    diameter this equals plain stress.  NumericalError as for stress.
+    diameter this equals plain stress.  NumericalError as for stress.  At
+    delta = 1 each pair of unlinked neighbours is one path each way, so it is
+    2 * ``stress1`` (kept on a network), unless a self-loop, which ``stress1``
+    counts as a neighbour, sends the graph through the kernel.
     """
-    if isinstance(delta, bool) or not isinstance(delta, (int, np.integer)) or delta < 1:
+    if not is_integer(delta) or delta < 1:
         raise ValueError(f"delta must be an integer >= 1, got {delta!r}")
+    if delta == 1:
+        resolve_workers(workers)  # checked, though no worker runs
+        if not _adjacency(*as_csr(graph), bool).diagonal().any():
+            return 2 * stress1(graph)
     # a target at DAG depth i <= delta below a node at level j <= delta is
     # within delta hops of it, and lies at level j + i <= 2 * delta
     sums = partial(_path_count_sums, delta=int(delta))

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import distinct
+from ._arrays import distinct, is_integer
 from .centrality import _adjacency, _blocks, _components, _stress1, as_csr, st_from_stress1
 from .theory import clipped_disk_area, neighborhood_st, sigma_interior
 
@@ -97,12 +97,19 @@ class ProtocolConfig:
                 f"theta must lie in (0, {sigma:.10f}) exclusive, got {self.theta}")
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}; choose from {', '.join(RULES)}")
-        if self.filter_min_boundary_neighbors < 0:
-            raise ValueError("filter_min_boundary_neighbors must be >= 0")
-        if self.degree_cap < 1:
-            raise ValueError("degree_cap must be >= 1")
-        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
+        # numpy integers are kept as Python ints, whose arithmetic cannot wrap
+        for name, least in (("filter_min_boundary_neighbors", 0), ("degree_cap", 1),
+                            ("smoothing_window", 1)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            setattr(self, name, int(value))
+        if self.smoothing_window % 2 == 0:
             raise ValueError("smoothing_window must be a positive odd integer")
+        if self.root is not None:
+            if not is_integer(self.root):
+                raise ValueError(f"root must be None or an integer node id, got {self.root!r}")
+            self.root = int(self.root)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._arrays import distinct
+from ._arrays import distinct, is_integer
 from ._workers import ordered_map, resolve_workers
 from .errors import BinningMismatchError
 
@@ -300,8 +300,9 @@ def sample_st(s, mu, samples, seed, workers=None):
         raise ValueError("boundary distance must be >= 0")
     if mu <= 0:
         raise ValueError("mu must be positive")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not is_integer(samples) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    samples = int(samples)  # a numpy integer could wrap in the batch sums
     lam = mu * clipped_disk_area(s) / np.pi
     nbatch = (samples + _BATCH - 1) // _BATCH
     seeds = np.random.SeedSequence(seed).spawn(nbatch)
@@ -317,7 +318,7 @@ def sample_st(s, mu, samples, seed, workers=None):
         total2 += t2
     mean = total / samples
     var = max(0.0, (total2 - samples * mean * mean) / max(1, samples - 1))
-    return StDistribution(s=float(s), mu=float(mu), samples=int(samples),
+    return StDistribution(s=float(s), mu=float(mu), samples=samples,
                           bin_edges=np.linspace(0.0, 1.0, _DEFAULT_BINS + 1),
                           counts=hist, mean=mean, stddev=float(np.sqrt(var)))
 

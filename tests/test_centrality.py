@@ -396,27 +396,28 @@ def test_kernel_across_blocks(monkeypatch):
         assert len(blocks) >= 4 and sum(blocks) == len(adj) - 1
         return values
 
-    o_stress, o_betw, o_rstr = oracles.brute_path_measures(adj, deltas=(1, 2))
+    # delta = 1 runs no kernel (test_delta_one_is_twice_stress1)
+    o_stress, o_betw, o_rstr = oracles.brute_path_measures(adj, deltas=(2, 3))
     runs = {}
     for w in (1, 3):
         monkeypatch.setenv(centrality.WORKERS_ENV, str(w))
         runs[w] = {"stress": run(bk.stress_centrality),
                    "betweenness": run(bk.betweenness_centrality),
-                   **{f"rstress{d}": run(bk.restricted_stress, d) for d in (1, 2)}}
+                   **{f"rstress{d}": run(bk.restricted_stress, d) for d in (2, 3)}}
     one = runs[1]
     assert np.array_equal(one["stress"], o_stress)
     np.testing.assert_allclose(one["betweenness"], o_betw, rtol=1e-9, atol=1e-9)
-    for d in (1, 2):
+    for d in (2, 3):
         assert np.array_equal(one[f"rstress{d}"], o_rstr[d])
     # the blocks and their order of summation do not depend on the workers
     for name, values in runs[3].items():
         assert np.array_equal(values, one[name]), name
 
 
-def _exact(adj):
+def _exact(adj, deltas=(1, 2)):
     """stress, betweenness and {delta: restricted stress} by the Brandes
     oracle, the counts as int64."""
-    stress, betw, rstr = oracles.exact_brandes(adj, deltas=(1, 2))
+    stress, betw, rstr = oracles.exact_brandes(adj, deltas=deltas)
     return (np.array(stress, dtype=np.int64), np.array(betw),
             {d: np.array(r, dtype=np.int64) for d, r in rstr.items()})
 
@@ -426,8 +427,8 @@ def _assert_exact(adj, want, label=None):
     assert np.array_equal(bk.stress_centrality(adj), stress), label
     np.testing.assert_allclose(bk.betweenness_centrality(adj), betw, rtol=1e-9, atol=1e-12,
                                err_msg=str(label))
-    for d in (1, 2):
-        assert np.array_equal(bk.restricted_stress(adj, d), rstr[d]), (label, d)
+    for d, want_d in rstr.items():
+        assert np.array_equal(bk.restricted_stress(adj, d), want_d), (label, d)
 
 
 def test_kernel_runs_no_symbolic_pass(monkeypatch):
@@ -442,8 +443,9 @@ def test_kernel_runs_no_symbolic_pass(monkeypatch):
     a = centrality._adjacency(*centrality.as_csr(PATH4))
     with pytest.raises(AssertionError, match="symbolic"):
         a @ a  # the patch reaches the pass that `x @ a` runs
+    # stress1, and so delta = 1, runs `rows @ a`; the kernel runs from delta = 2
     graphs = [random_graph(seed) for seed in range(30)]
-    wants = [_exact(adj) for adj in graphs]
+    wants = [_exact(adj, (2, 3)) for adj in graphs]
     for w in (1, 2):
         monkeypatch.setenv(centrality.WORKERS_ENV, str(w))
         for seed, (adj, want) in enumerate(zip(graphs, wants)):
@@ -534,7 +536,8 @@ def test_self_loops_fit_the_buffers(monkeypatch, budget):
     for adj, bare in [([[0]], [[]]), ([[0], []], [[], []]), ([[0, 1], [0]], [[1], [0]]),
                       (looped, plain)]:
         fills.clear()
-        _assert_exact(adj, _exact(bare), adj if len(adj) < 3 else "extremes")
+        # delta = 1 on a looped graph: test_delta_one_with_self_loops_runs_the_kernel
+        _assert_exact(adj, _exact(bare, (2, 3)), adj if len(adj) < 3 else "extremes")
         assert all(nnz <= length for _, nnz, length in fills), fills
         assert bool(fills) == any(rows for rows, _, _ in fills) == (len(adj) > 2), fills
 
@@ -647,6 +650,89 @@ def test_khop_across_blocks(monkeypatch):
         assert len(seen[-1]) >= 4, k
 
 
+def test_khop_maps_a_network_back_to_its_ids(monkeypatch):
+    # a network runs in its position order, whose components interleave in
+    # its own ids, with isolated nodes; the counts map back to those ids
+    net = bk.build_network(bk.square_with_hole(10.0, 2.0), 150, 0.9, seed=4)
+    adj = [net.neighbors(v).tolist() for v in range(net.n)]
+    perm, _, _, first, size = centrality._relabel(net)
+    assert not np.array_equal(perm, centrality._relabel(adj)[0])
+    assert len(np.unique(first[size > 2])) >= 3 and np.count_nonzero(net.degrees == 0) >= 2
+    monkeypatch.setattr(centrality, "_ENTRY_BUDGET", net.n // 2)
+    split = centrality._blocks
+    seen = []
+
+    def recorded(work, b):
+        blocks = split(work, b)
+        seen.append(blocks)
+        return blocks
+
+    monkeypatch.setattr(centrality, "_blocks", recorded)
+    for k in (1, 2, 5):
+        seen.clear()
+        got = bk.khop_size(net, k)
+        assert len(seen[-1]) >= 4, k
+        assert np.array_equal(got, bk.khop_size(adj, k)), k
+        assert np.array_equal(got, oracles.brute_khop(adj, k)), k
+
+
+def test_delta_one_is_twice_stress1(monkeypatch):
+    # each ordered pair of neighbours that are not linked is one shortest
+    # path, through the node: delta = 1 is 2 * stress1, and runs no kernel
+    def no_kernel(*args):
+        raise AssertionError("delta = 1 ran the path kernel")
+
+    reg = bk.square_with_hole(6.0, 2.0)
+    cases = {"kept": bk.build_network(reg, 120, 1.0, seed=8),
+             "fresh": bk.build_network(reg, 120, 1.0, seed=9), "lists": _interleaved()}
+    bk.stress1(cases["kept"])
+    lists = {name: g if isinstance(g, list) else [g.neighbors(v).tolist() for v in range(g.n)]
+             for name, g in cases.items()}
+    wants = {name: np.array(oracles.exact_brandes(adj, deltas=(1,))[2][1], dtype=np.int64)
+             for name, adj in lists.items()}
+    kept = cases["kept"]._kept_stress1
+    before = kept.copy()
+    monkeypatch.setattr(centrality, "_run_sources", no_kernel)
+    for name, graph in cases.items():
+        got = bk.restricted_stress(graph, 1, workers=1)
+        assert got.dtype == np.int64 and got.flags.writeable, name
+        assert np.array_equal(got, wants[name]), name
+        assert np.array_equal(got, 2 * bk.stress1(lists[name])), name
+        got[:] = -1  # the result is the caller's: the kept count stays
+    assert cases["kept"]._kept_stress1 is kept and not kept.flags.writeable
+    assert np.array_equal(kept, before)
+    assert cases["fresh"]._kept_stress1 is not None  # counted once, and kept
+    assert bk.compute(cases["lists"], "rstress", delta=1).values.tolist() == wants["lists"].tolist()
+    for delta in (True, 1.5, 0):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            bk.restricted_stress(cases["kept"], delta)
+    with pytest.raises(ValueError, match="workers"):
+        bk.restricted_stress(cases["kept"], 1, workers=0)
+    monkeypatch.setenv(centrality.WORKERS_ENV, "0")
+    with pytest.raises(ValueError, match=centrality.WORKERS_ENV):
+        bk.restricted_stress(PATH4, 1)
+
+
+def test_delta_one_with_self_loops_runs_the_kernel(monkeypatch):
+    # stress1 counts a self-loop as a neighbour, and a loop changes no
+    # shortest path, so a looped graph takes the kernel at delta = 1
+    plain = _extremes()
+    looped = [sorted(nb + [v]) if v in (0, 13, 20, 21, 28) else nb for v, nb in enumerate(plain)]
+    want = np.array(oracles.exact_brandes(plain, deltas=(1,))[2][1], dtype=np.int64)
+    assert not np.array_equal(2 * bk.stress1(looped), want)
+    sources = []
+    run_sources = centrality._run_sources
+
+    def counted(*args):
+        sources.append(args[0])
+        return run_sources(*args)
+
+    monkeypatch.setattr(centrality, "_run_sources", counted)
+    assert np.array_equal(bk.restricted_stress(looped, 1), want)
+    assert np.array_equal(bk.restricted_stress(plain, 1), want)
+    assert sources == [looped]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st_.lists(st_.integers(min_value=0, max_value=40), max_size=60),
        st_.integers(min_value=1, max_value=50))
@@ -715,13 +801,16 @@ def test_restricted_stress_at_20k_within_cpu_budget():
     # block adds its sums into a contiguous slice of the total, and the total
     # maps to the caller's ids once, which took 1.5 to 2.2 s of CPU at
     # delta = 1 on a 2-core Xeon VM; a scatter to the caller's ids on every
-    # block took 7.1 to 8.7 s there
+    # block took 7.1 to 8.7 s there.  restricted_stress(net, 1) is 2 * stress1
+    # and runs no kernel, so the kernel is called here as it would at delta = 1
     reg = bk.square_with_hole(10.0, 1.0)
     net = bk.build_network(reg, 20_000, bk.radius_for_degree(bk.area(reg), 20_000, 10.0), seed=5)
     bk.stress_centrality(PATH3)  # the first call imports csgraph
+    sums = partial(centrality._path_count_sums, delta=1)
     t = time.process_time()
-    bk.restricted_stress(net, 1, workers=1)
+    halves = centrality._run_sources(net, np.int64, 2, sums, 1)
     assert time.process_time() - t < 4.0
+    assert np.array_equal(centrality._join(halves), bk.restricted_stress(net, 1))
 
 
 def _interleaved():
@@ -745,7 +834,7 @@ def test_blocks_across_interleaved_components(monkeypatch, budget):
     # rows of one block belong to different components, each laid out from
     # its own first id, at the stride of the block's largest component
     adj = _interleaved()
-    want = _exact(adj)
+    want = _exact(adj, (2, 3))  # delta = 1 runs no kernel
     monkeypatch.setattr(centrality, "_ENTRY_BUDGET", budget)
     shapes = []
     levels = centrality._levels
@@ -762,14 +851,14 @@ def test_blocks_across_interleaved_components(monkeypatch, budget):
         monkeypatch.setenv(centrality.WORKERS_ENV, str(w))
         shapes.clear()
         runs[w] = [bk.stress_centrality(adj), bk.betweenness_centrality(adj),
-                   *(bk.restricted_stress(adj, d) for d in (1, 2))]
+                   *(bk.restricted_stress(adj, d) for d in (2, 3))]
         # the edge and the isolated node are no sources
         assert sum(rows for rows, _, _ in shapes) == 4 * 52
     stress, betw, rstr = want
     assert np.array_equal(runs[1][0], stress)
     np.testing.assert_allclose(runs[1][1], betw, rtol=1e-9, atol=1e-12)
-    for d in (1, 2):
-        assert np.array_equal(runs[1][1 + d], rstr[d]), d
+    for i, d in enumerate((2, 3)):
+        assert np.array_equal(runs[1][2 + i], rstr[d]), d
     if budget == 1:
         assert {rows for rows, _, _ in shapes} == {1}
     elif budget == 1 << 20:  # one block of every source

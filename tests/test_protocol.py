@@ -65,6 +65,21 @@ def test_config_validation():
         bk.ProtocolConfig(degree_cap=0)
     with pytest.raises(ValueError):
         bk.ProtocolConfig(rule="two-hop")
+    # counts and ids are integers, a bool not among them; these once passed
+    # here and failed in run_protocol, or ran with a float window
+    for field, value in (("degree_cap", 2.5), ("degree_cap", True), ("root", True),
+                         ("root", 2.0), ("root", np.True_), ("smoothing_window", 3.0),
+                         ("smoothing_window", np.True_), ("filter_min_boundary_neighbors", 1.5),
+                         ("filter_min_boundary_neighbors", False), ("degree_cap", "8")):
+        with pytest.raises(ValueError, match=field):
+            bk.ProtocolConfig(**{field: value})
+    # numpy integers are integers
+    config = bk.ProtocolConfig(degree_cap=np.int64(8), root=np.int32(0),
+                               smoothing_window=np.uint8(3), filter_min_boundary_neighbors=np.int16(1))
+    assert all(type(v) is int for v in (config.degree_cap, config.root, config.smoothing_window,
+                                        config.filter_min_boundary_neighbors))
+    labels, trace = bk.run_protocol(TRIANGLE, config)
+    assert labels.all() and trace.components[0].root == 0 and trace.components[0].dhat == 2
 
 
 # -- worked examples ---------------------------------------------------------

@@ -117,6 +117,21 @@ def test_sample_st_validation():
         bk.sample_st(0.5, 100.0, 0, seed=1)
 
 
+@pytest.mark.parametrize("samples", [1000.0, 2.5, True, np.True_, "10", None])
+def test_sample_st_samples_not_an_integer_rejected(samples):
+    # a float once raised a bare TypeError from range, and True drew one sample
+    with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+        bk.sample_st(0.0, 200.0, samples, seed=5)
+
+
+@pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint16])
+def test_sample_st_numpy_integer_samples(kind):
+    # 60,000 plus a batch less one wraps in uint16
+    d = bk.sample_st(0.3, 40.0, kind(60_000), seed=9)
+    assert d.samples == 60_000 and type(d.samples) is int and int(d.counts.sum()) == 60_000
+    assert d.counts.tolist() == bk.sample_st(0.3, 40.0, 60_000, seed=9).counts.tolist()
+
+
 def test_distribution_invariants():
     d = bk.sample_st(0.7, 30.0, 2000, seed=3)
     assert int(d.counts.sum()) == 2000
