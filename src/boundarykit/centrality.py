@@ -70,8 +70,8 @@ def as_csr(graph):
     """CSR view (indptr, indices) of a SensorNetwork or of adjacency lists,
     one sequence of node ids per node.  List rows are sorted, checked as a
     network's are, by ``netgen._check_csr`` and ``netgen._check_symmetric``,
-    and take ``netgen._index_dtype``, as a network's arrays do.  A scipy
-    sparse array is refused: it is neither."""
+    so that either is a simple graph, and take ``netgen._index_dtype``.  A
+    scipy sparse array is refused: it is neither."""
     if isinstance(graph, SensorNetwork):
         return graph.indptr, graph.indices
     if sp.issparse(graph):
@@ -409,24 +409,31 @@ def betweenness_centrality(graph, workers=None):
 def khop_size(graph, k):
     """Number of nodes within hop distance k of each node, excluding itself.
 
-    The ball of radius k is the row pattern of (I + A)**k, taken by boolean
-    products over row blocks in ``_relabel``'s order.  A block's balls,
-    bounded by the walks of up to k steps and by the component sizes, sum
-    to at most _ENTRY_BUDGET; a block stops early once its balls stop growing.
+    A component of s nodes holds every member within s - 1 hops, so where
+    s - 1 <= k the ball is the component, with no product.  Elsewhere the
+    ball of radius k is the row pattern of (I + A)**k, taken by boolean
+    products over row blocks in ``_relabel``'s order, which puts those
+    larger components first.  A block's balls, bounded by the walks of up
+    to k steps and by the component sizes, sum to at most _ENTRY_BUDGET; a
+    block stops early once its balls stop growing.
     """
     if not is_integer(k) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     perm, indptr, indices, _, size = _relabel(graph)
+    out = np.empty(len(perm), dtype=np.int64)
+    # the rows of the unsaturated components, a prefix, and their adjacency
+    rows = np.count_nonzero(size - 1 > k)
+    out[perm[rows:]] = size[rows:] - 1  # in the caller's ids
+    indptr, indices = indptr[:rows + 1], indices[:indptr[rows]]
     a = _adjacency(indptr, indices)
-    bound = np.ones(len(perm))
+    bound = np.ones(rows)
     for _ in range(k):  # Horner: 1 + A @ (walks of one step fewer)
-        grown = np.minimum(1.0 + a @ bound, size)
+        grown = np.minimum(1.0 + a @ bound, size[:rows])
         if np.array_equal(grown, bound):
             break
         bound = grown
     del a  # the float adjacency is not held through the ball products
-    step = _adjacency(indptr, indices, bool) + sp.eye_array(len(perm), dtype=bool, format="csr")
-    out = np.empty(len(perm), dtype=np.int64)
+    step = _adjacency(indptr, indices, bool) + sp.eye_array(rows, dtype=bool, format="csr")
     for lo, hi in _blocks(bound, _ENTRY_BUDGET):
         ball = step[lo:hi]
         for _ in range(k - 1):
@@ -445,15 +452,13 @@ def restricted_stress(graph, delta, workers=None):
     constrained to the hop ball.  For a connected graph and delta >= its
     diameter this equals plain stress.  NumericalError as for stress.  At
     delta = 1 each pair of unlinked neighbours is one path each way, so it is
-    2 * ``stress1`` (kept on a network), unless a self-loop, which ``stress1``
-    counts as a neighbour, sends the graph through the kernel.
+    2 * ``stress1`` (kept on a network), with no kernel.
     """
     if not is_integer(delta) or delta < 1:
         raise ValueError(f"delta must be an integer >= 1, got {delta!r}")
     if delta == 1:
         resolve_workers(workers)  # checked, though no worker runs
-        if not _adjacency(*as_csr(graph), bool).diagonal().any():
-            return 2 * stress1(graph)
+        return 2 * stress1(graph)
     # a target at DAG depth i <= delta below a node at level j <= delta is
     # within delta hops of it, and lies at level j + i <= 2 * delta
     sums = partial(_path_count_sums, delta=int(delta))

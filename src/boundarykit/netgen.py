@@ -35,10 +35,9 @@ class SensorNetwork:
     indptr, indices : CSR adjacency (neighbor lists sorted ascending), int32
         unless n or 2m exceeds the int32 range (``_index_dtype``).
 
-    ValueError unless every CSR row is strictly increasing with integer ids
-    in 0..n-1 (``_check_csr``) and each edge is listed from both of its ends
-    (``_check_symmetric``), the checks that ``centrality.as_csr`` runs on
-    adjacency lists too; no graph function checks a network again.
+    ValueError unless every CSR row is strictly increasing with integer ids in
+    0..n-1 and the graph is simple (``_check_csr``, ``_check_symmetric``), as
+    ``centrality.as_csr`` checks adjacency lists; no graph function checks a network again.
     ``positions`` is a read-only view, and ``indptr`` and ``indices`` are
     read-only copies, so no write to the caller's arrays undoes the checks.
     Since the network cannot change, ``centrality.stress1`` keeps its result
@@ -108,20 +107,22 @@ def _check_csr(n, indptr, indices):
 
 
 def _check_symmetric(indptr, indices):
-    """ValueError unless the CSR, whose rows ``_check_csr`` has accepted,
-    lists each edge from both of its ends, as the path kernel's unchecked
-    writes need (see ``centrality._matmat``).  Read as CSC, the arrays are
-    the transpose, which one counting sort turns into sorted rows."""
+    """ValueError unless the CSR, whose rows ``_check_csr`` has accepted, is a simple
+    graph, as ``centrality.stress1`` and ``centrality._matmat`` need: no node lists
+    itself, and the transpose, read as CSC and sorted by ``tocsr``, equals it."""
     import scipy.sparse as sp
 
     n = len(indptr) - 1
+    loop = indices == np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    if loop.any():
+        raise ValueError(f"adjacency holds a self-loop at node {indices[loop.argmax()]}")
     t = sp.csc_array((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n)).tocsr()
     if not (np.array_equal(t.indptr, indptr) and np.array_equal(t.indices, indices)):
         raise ValueError("adjacency must list each edge from both of its ends")
 
 
 def _network(positions, radius, indptr, indices, region):
-    """A SensorNetwork over a CSR from ``_csr_from_pairs``, symmetric by
+    """A SensorNetwork over a CSR from ``_csr_from_pairs``, simple by
     construction and held by no caller, so neither tested nor copied."""
     network = SensorNetwork.__new__(SensorNetwork)
     network._adopt(positions, radius, indptr, indices, region)

@@ -48,10 +48,11 @@ _QUAD = 32
 def lens_area(x):
     """Overlap area of two unit disks whose centers are ``x`` apart.
 
-    Accepts scalars or arrays; domain [0, 2].
+    Accepts scalars or arrays; ValueError unless every ``x`` is in [0, 2],
+    so on nan too.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 2):
+    if not np.all((arr >= 0) & (arr <= 2)):  # false for nan
         raise ValueError("lens_area domain is [0, 2]")
     half = arr / 2.0
     out = 2.0 * np.arccos(half) - arr * np.sqrt(1.0 - half * half)
@@ -61,9 +62,10 @@ def lens_area(x):
 
 
 def m_area(x):
-    """Area of the unit disk around one endpoint not covered by the other's disk."""
+    """Area of the unit disk around one endpoint not covered by the other's
+    disk; the domain is ``lens_area``'s."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 2):
+    if not np.all((arr >= 0) & (arr <= 2)):  # false for nan
         raise ValueError("m_area domain is [0, 2]")
     out = np.pi - lens_area(arr)
     if np.isscalar(x) or arr.ndim == 0:
@@ -78,8 +80,10 @@ def sigma_interior():
 
 
 def clipped_disk_area(s):
-    """Area of the unit disk around a node at distance ``s`` from a straight boundary."""
-    if s < 0:
+    """Area of the unit disk around a node at distance ``s`` from a straight
+    boundary.  ValueError unless s >= 0, so on nan; s = inf, an interior
+    node, gives pi, as every s >= 1 does."""
+    if not s >= 0:  # false for nan
         raise ValueError("boundary distance must be >= 0")
     if s >= 1.0:
         return float(np.pi)
@@ -109,9 +113,10 @@ def st_dense(s):
     ``sample_st`` once mu is large enough that a node has >= 2 neighbors.
     Quadrature of the set covariance area(K & (K + h)) over offsets
     |h| <= 1; by symmetry h lies in the first quadrant, where the overlap is
-    the lens of two unit disks cut at y = h_y - s.
+    the lens of two unit disks cut at y = h_y - s.  ValueError unless
+    s >= 0, as in ``clipped_disk_area``.
     """
-    if s < 0:
+    if not s >= 0:  # false for nan
         raise ValueError("boundary distance must be >= 0")
     s = min(float(s), 1.0)
     phi, wphi = _gauss(0.0, np.pi / 2.0)
@@ -136,8 +141,9 @@ def neighborhood_st(s):
     The neighbors are uniform in the unit disk around the node, clipped at
     the boundary; one at height y above the node has boundary distance
     s + y and mean st ``st_dense(s + y)``, which is sigma from s + y >= 1 on.
+    ValueError unless s >= 0, as in ``clipped_disk_area``.
     """
-    if s < 0:
+    if not s >= 0:  # false for nan
         raise ValueError("boundary distance must be >= 0")
     lo = -min(float(s), 1.0)
     knee = min(max(1.0 - s, lo), 1.0)  # above it the neighbors are interior
@@ -285,9 +291,11 @@ def sample_st(s, mu, samples, seed, workers=None):
     Parameters
     ----------
     s : float
-        Distance to the straight boundary in disk radii; s >= 1 is interior.
+        Distance to the straight boundary in disk radii, >= 0 and not nan;
+        s >= 1, inf included, is interior.
     mu : float
-        Expected interior degree (Poisson mean for an unclipped disk).
+        Expected interior degree (Poisson mean for an unclipped disk),
+        positive and finite.
     samples : int
         Number of independent node realizations.
     seed : int
@@ -296,9 +304,9 @@ def sample_st(s, mu, samples, seed, workers=None):
     workers : int, optional
         Thread count; defaults to the environment override or cpu count.
     """
-    if s < 0:
+    if not s >= 0:  # false for nan
         raise ValueError("boundary distance must be >= 0")
-    if mu <= 0:
+    if not 0 < mu < np.inf:  # false for nan
         raise ValueError("mu must be positive")
     if not is_integer(samples) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")

@@ -78,6 +78,40 @@ def test_khop_saturates_at_component():
     assert bk.khop_size(PATH4, 10).tolist() == [3, 3, 3, 3]
 
 
+def _path(n, start=0):
+    """Adjacency lists of the path start, start + 1, ..., start + n - 1."""
+    return [[u for u in (v - 1, v + 1) if start <= u < start + n] for v in range(start, start + n)]
+
+
+def test_khop_saturated_components_run_no_products(monkeypatch):
+    # a component of s nodes lies within s - 1 hops of each node, so from
+    # k = s - 1 on it counts s - 1 without a product; _blocks sees only
+    # the rows of the larger components.  k = 10**9 once ran for seconds
+    # on an 800-node path, and did not end in minutes at 20k nodes
+    split = centrality._blocks
+    rows = []
+
+    def recorded(work, budget):
+        rows.append(len(work))
+        return split(work, budget)
+
+    monkeypatch.setattr(centrality, "_blocks", recorded)
+    path = _path(800)
+    for k in (799, 10**9):
+        rows.clear()
+        assert bk.khop_size(path, k).tolist() == [799] * 800, k
+        assert rows == [0], k
+    rows.clear()
+    ends = [798] + [799] * 798 + [798]  # only the two ends miss a node
+    assert bk.khop_size(path, 798).tolist() == ends and rows == [800]
+    # a 30-node path, a triangle, a 2-node component and isolated nodes
+    adj = [[]] + _path(30, 1) + [[]] + [[33, 34], [32, 34], [32, 33], [36], [35], [], []]
+    for k, unsaturated in ((1, 33), (2, 30), (28, 30), (29, 0), (10**9, 0)):
+        rows.clear()
+        assert np.array_equal(bk.khop_size(adj, k), oracles.brute_khop(adj, k)), k
+        assert rows == [unsaturated], k
+
+
 # -- stress ------------------------------------------------------------------
 
 
@@ -516,10 +550,9 @@ def test_product_buffers_hold_the_fullest_rows(monkeypatch, budget, rows):
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 20])
-def test_self_loops_fit_the_buffers(monkeypatch, budget):
-    # a self-loop puts a source's own node in its product rows and changes
-    # no shortest path; a component of at most 2 nodes, looped or not, runs
-    # no source, so its products have no rows
+def test_tiny_components_fit_the_buffers(monkeypatch, budget):
+    # a component of at most 2 nodes runs no source, so its products have
+    # no rows, and a graph of only such components runs none
     monkeypatch.setattr(centrality, "_ENTRY_BUDGET", budget)
     fills = []
     matmat = centrality._matmat
@@ -530,14 +563,9 @@ def test_self_loops_fit_the_buffers(monkeypatch, budget):
         return y
 
     monkeypatch.setattr(centrality, "_matmat", recorded)
-    plain = _extremes()
-    looped = [sorted(nb + [v]) if v in (0, 13, 20, 21, 28) else nb
-              for v, nb in enumerate(plain)]
-    for adj, bare in [([[0]], [[]]), ([[0], []], [[], []]), ([[0, 1], [0]], [[1], [0]]),
-                      (looped, plain)]:
+    for adj in ([[]], [[], []], [[1], [0]], _extremes()):
         fills.clear()
-        # delta = 1 on a looped graph: test_delta_one_with_self_loops_runs_the_kernel
-        _assert_exact(adj, _exact(bare, (2, 3)), adj if len(adj) < 3 else "extremes")
+        _assert_exact(adj, _exact(adj, (2, 3)), adj if len(adj) < 3 else "extremes")
         assert all(nnz <= length for _, nnz, length in fills), fills
         assert bool(fills) == any(rows for rows, _, _ in fills) == (len(adj) > 2), fills
 
@@ -562,12 +590,15 @@ def _strips(graph):
     ([np.array([2**63], np.uint64), [0]], "outside"),  # past int64, wraps negative
     ([np.array([1], np.uint64), [False]], "integers"),
     ([np.array([1], np.uint64), [0.0]], "integers"),
+    ([[0]], "self-loop at node 0"),
+    ([[1], [0, 1, 2], [1]], "self-loop at node 1"),  # symmetric, but not simple
 ])
 def test_malformed_adjacency_lists_rejected(adj, match):
     # every public function that takes a graph
     for measure in (centrality.as_csr, bk.stress_centrality, bk.betweenness_centrality,
                     partial(bk.restricted_stress, delta=1), partial(bk.khop_size, k=1),
-                    bk.stress1, bk.normalized_st, bk.run_protocol, _strips):
+                    bk.stress1, bk.normalized_st, bk.run_protocol, _strips,
+                    partial(bk.compute, measure="rstress", delta=1)):
         with pytest.raises(ValueError, match=match):
             measure(adj)
 
@@ -713,24 +744,40 @@ def test_delta_one_is_twice_stress1(monkeypatch):
         bk.restricted_stress(PATH4, 1)
 
 
-def test_delta_one_with_self_loops_runs_the_kernel(monkeypatch):
-    # stress1 counts a self-loop as a neighbour, and a loop changes no
-    # shortest path, so a looped graph takes the kernel at delta = 1
+def test_delta_one_runs_no_kernel_and_refuses_loops(monkeypatch):
+    # every graph that a measure accepts is simple, so delta = 1 is always
+    # 2 * stress1: no kernel, and no adjacency beyond the one stress1 counts on
+    def no_kernel(*args):
+        raise AssertionError("delta = 1 ran the path kernel")
+
     plain = _extremes()
+    graphs = [[[]], [[], []], [[1], [0]], PATH4, CYCLE5, plain, _interleaved(),
+              *(random_graph(seed) for seed in range(10))]
+    wants = [np.array(oracles.exact_brandes(adj, deltas=(1,))[2][1], dtype=np.int64)
+             for adj in graphs]
+    net = bk.build_network(bk.square_with_hole(6.0, 2.0), 120, 1.0, seed=8)
+    bk.stress1(net)
+    adjacency = centrality._adjacency
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return adjacency(*args, **kwargs)
+
+    monkeypatch.setattr(centrality, "_run_sources", no_kernel)
+    monkeypatch.setattr(centrality, "_adjacency", counted)
+    for adj, want in zip(graphs, wants):
+        built.clear()
+        assert np.array_equal(bk.restricted_stress(adj, 1), want), adj
+        assert len(built) == 1, adj  # stress1's own
+    built.clear()
+    assert np.array_equal(bk.restricted_stress(net, 1), 2 * net._kept_stress1)
+    assert not built  # the kept count
+    # a loop is refused, as every measure refuses it, before any count
     looped = [sorted(nb + [v]) if v in (0, 13, 20, 21, 28) else nb for v, nb in enumerate(plain)]
-    want = np.array(oracles.exact_brandes(plain, deltas=(1,))[2][1], dtype=np.int64)
-    assert not np.array_equal(2 * bk.stress1(looped), want)
-    sources = []
-    run_sources = centrality._run_sources
-
-    def counted(*args):
-        sources.append(args[0])
-        return run_sources(*args)
-
-    monkeypatch.setattr(centrality, "_run_sources", counted)
-    assert np.array_equal(bk.restricted_stress(looped, 1), want)
-    assert np.array_equal(bk.restricted_stress(plain, 1), want)
-    assert sources == [looped]
+    with pytest.raises(ValueError, match="self-loop at node 0"):
+        bk.restricted_stress(looped, 1)
+    assert not built
 
 
 @settings(max_examples=50, deadline=None)

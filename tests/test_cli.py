@@ -145,6 +145,15 @@ def test_centrality_nonfinite_network_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["centrality", "--measure", "st"], ["protocol"]])
+def test_self_loop_network_exits_2_at_its_line(tmp_path, capsys, command):
+    net = tmp_path / "net.txt"
+    net.write_text("3 1.0\n0 0.0 0.0\n1 0.5 0.0\n2 1.0 0.0\n0 1\n1 1\n1 2\n")
+    rc = main([*command, "--network", str(net), "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert "net.txt:line 6: edges must satisfy u < v, got (1, 1)" in capsys.readouterr().err
+
+
 def test_centrality_khop_requires_k(triangle_file, tmp_path):
     rc = main(["centrality", "--network", str(triangle_file),
                "--measure", "khop", "--out", str(tmp_path / "v.csv")])
@@ -274,6 +283,19 @@ def test_theory_dist(tmp_path):
     d = bk.StDistribution.from_csv(out)
     assert d.samples == 2000
     assert d.s == 0.0
+
+
+@pytest.mark.parametrize("s, mu, message", [
+    ("nan", "20", "boundary distance must be >= 0"),  # once numpy's "lam < 0 or lam is NaN"
+    ("0.0", "inf", "mu must be positive"),            # once numpy's "lam value too large"
+    ("0.0", "nan", "mu must be positive"),
+])
+def test_theory_dist_nonfinite_exits_1(tmp_path, capsys, s, mu, message):
+    out = tmp_path / "d.csv"
+    rc = main(["theory", "dist", "--s", s, "--mu", mu, "--samples", "100",
+               "--seed", "1", "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert f"boundarykit: error: {message}" in capsys.readouterr().err
 
 
 def test_theory_dist_seed_mandatory(tmp_path):

@@ -133,6 +133,8 @@ def test_nonfinite_input_rejected(bad, value):
     ([0, 2, 1], [1, 0], "offsets"),
     ([0, 1], [1], "offsets"),  # one offset short
     ([0, 1, 2], [1.0, 0.0], "integers"),
+    ([0, 1, 2], [0, 1], "self-loop at node 0"),  # each node lists itself alone
+    ([0, 1, 3], [1, 0, 1], "self-loop at node 1"),  # and beside a real edge
 ])
 def test_malformed_csr_rejected(indptr, indices, match):
     n = len(indptr) - 1 if match != "offsets" else 2
@@ -302,6 +304,7 @@ BAD_FILES = [
     ("2\n0 0.0 0.0\n1 0.5 0.0\n", "header", 1),
     ("2 1.0\n1 0.0 0.0\n0 0.5 0.0\n0 1\n", "node id order", 2),
     ("2 1.0\n0 0.0 0.0\n1 0.5 0.0\n1 0\n", "edge u < v", 4),
+    ("2 1.0\n0 0.0 0.0\n1 0.5 0.0\n0 1\n1 1\n", "self-loop edge", 5),
     ("2 1.0\n0 0.0 0.0\n1 0.5 0.0\n0 7\n", "unknown endpoint", 4),
     ("2 1.0\n0 0.0 0.0\n1 0.5 0.0\n0 1\n0 1\n", "duplicate edge", 5),
     ("2 1.0\n0 nope 0.0\n1 0.5 0.0\n0 1\n", "bad coordinate", 2),

@@ -38,6 +38,11 @@ def test_lens_domain():
         bk.lens_area(-0.1)
     with pytest.raises(ValueError):
         bk.lens_area(2.1)
+    # nan is outside the domain too, alone or in an array
+    for f in (bk.lens_area, bk.m_area):
+        for x in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match="domain"):
+                f(x)
 
 
 def test_lens_vectorized():
@@ -115,6 +120,22 @@ def test_sample_st_validation():
         bk.sample_st(0.5, 0.0, 10, seed=1)
     with pytest.raises(ValueError):
         bk.sample_st(0.5, 100.0, 0, seed=1)
+    # a nan distance and a non-finite mu once reached numpy's Poisson draw
+    for s in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="boundary distance must be >= 0"):
+            bk.sample_st(s, 200.0, 100, seed=1)
+    for mu in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            bk.sample_st(0.0, mu, 100, seed=1)
+    # and the closed forms once returned nan
+    for f in (bk.clipped_disk_area, bk.st_dense, bk.neighborhood_st):
+        with pytest.raises(ValueError, match="boundary distance must be >= 0"):
+            f(math.nan)
+    # s = inf is an interior node, and draws as any s >= 1 does
+    assert bk.clipped_disk_area(math.inf) == math.pi
+    inner = bk.sample_st(math.inf, 20.0, 500, seed=2)
+    assert inner.s == math.inf
+    assert inner.counts.tolist() == bk.sample_st(1.5, 20.0, 500, seed=2).counts.tolist()
 
 
 @pytest.mark.parametrize("samples", [1000.0, 2.5, True, np.True_, "10", None])
