@@ -111,11 +111,13 @@ def _relabel(graph):
     Nodes go by component, larger first, so that every component is
     contiguous and those of at most 2 nodes come last; within one, a
     network's nodes go by rows of cells of one radius, and adjacency lists
-    keep their order.  The transpose of the gathered, renamed rows sorts
+    keep their order.  Components come from the graph's own CSR, and no call
+    keeps anything.  The transpose of the gathered, renamed rows sorts
     them, and by symmetry is the relabelled graph.
     """
-    a = _adjacency(*as_csr(graph), bool)  # one byte per entry to gather and transpose
-    label, size = _components(a)
+    indptr, indices = as_csr(graph)
+    label, size = _components(indptr, indices)
+    a = _adjacency(indptr, indices, bool)  # one byte per entry to gather and transpose
     keys = (label, -size[label])
     if isinstance(graph, SensorNetwork):
         x, y = graph.positions.T
@@ -204,13 +206,15 @@ def _product(x, a, span):
     return y
 
 
-def _components(a):
-    """The component label of each node of the adjacency ``a`` and the size of
-    each component; csgraph copies an ``a`` that is not float64 to float64."""
+def _components(indptr, indices):
+    """The component label of each node of the CSR graph (indptr, indices) and
+    the size of each component; csgraph allocates O(n) and copies no array."""
     from scipy.sparse.csgraph import connected_components
 
-    # the strong components of a symmetric adjacency are its components, and
-    # need no transposed copy
+    # csgraph reads only the pattern of a float64 CSR, so its ones can be one
+    # value at stride 0; a symmetric graph's strong components need no transpose
+    n = len(indptr) - 1
+    a = sp.csr_array((np.broadcast_to(1.0, indices.shape), indices, indptr), shape=(n, n))
     _, label = connected_components(a, connection="strong")
     return label, np.bincount(label)
 

@@ -438,7 +438,7 @@ def boundary_strips(graph, labels):
     """Connected components of the boundary-labeled subgraph.
 
     Returns a list of sorted id arrays, largest component first (ties by
-    smallest member id).
+    smallest member id), labelled on the gathered subgraph's CSR arrays.
     """
     adj = _adjacency(*as_csr(graph), bool)  # one byte per entry to gather
     labels = np.asarray(labels, dtype=bool)
@@ -448,7 +448,8 @@ def boundary_strips(graph, labels):
     idx = np.flatnonzero(labels)
     if len(idx) == 0:
         return []
-    comp, sizes = _components(adj[idx][:, idx])
+    sub = adj[idx][:, idx]
+    comp, sizes = _components(sub.indptr, sub.indices)
     # idx is ascending, so a stable sort by component keeps each strip sorted
     strips = np.split(idx[np.argsort(comp, kind="stable")], np.cumsum(sizes)[:-1])
     strips.sort(key=lambda a: (-len(a), int(a[0])))

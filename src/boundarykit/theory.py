@@ -53,7 +53,7 @@ def lens_area(x):
     """
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0) & (arr <= 2)):  # false for nan
-        raise ValueError("lens_area domain is [0, 2]")
+        raise ValueError("the distance between disk centers must be in the domain [0, 2]")
     half = arr / 2.0
     out = 2.0 * np.arccos(half) - arr * np.sqrt(1.0 - half * half)
     if np.isscalar(x) or arr.ndim == 0:
@@ -63,14 +63,8 @@ def lens_area(x):
 
 def m_area(x):
     """Area of the unit disk around one endpoint not covered by the other's
-    disk; the domain is ``lens_area``'s."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0) & (arr <= 2)):  # false for nan
-        raise ValueError("m_area domain is [0, 2]")
-    out = np.pi - lens_area(arr)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    disk; the domain and the return type are ``lens_area``'s."""
+    return np.pi - lens_area(x)
 
 
 def sigma_interior():
@@ -307,7 +301,7 @@ def sample_st(s, mu, samples, seed, workers=None):
     if not s >= 0:  # false for nan
         raise ValueError("boundary distance must be >= 0")
     if not 0 < mu < np.inf:  # false for nan
-        raise ValueError("mu must be positive")
+        raise ValueError("mu must be finite" if mu == np.inf else "mu must be positive")
     if not is_integer(samples) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     samples = int(samples)  # a numpy integer could wrap in the batch sums

@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything in here is written for clarity, not speed: Floyd-Warshall hop
-distances, explicit enumeration of all shortest paths, O(n^2) adjacency,
+Everything in here is written for clarity, not speed: hop distances by
+plain BFS, explicit enumeration of all shortest paths, O(n^2) adjacency,
 a scalar closed-segment test.
 None of it shares code with boundarykit internals, except the st sampler
 references, which call ``clipped_disk_area`` as the sampler did, and the
@@ -108,23 +108,20 @@ def region_contains(region, p):
 
 
 def hop_distances(adj):
-    """All-pairs hop counts by Floyd-Warshall; INF where disconnected."""
+    """All-pairs hop counts by a BFS from each node; INF where disconnected."""
     n = len(adj)
-    dist = [[INF] * n for _ in range(n)]
-    for v in range(n):
-        dist[v][v] = 0
-        for w in adj[v]:
-            dist[v][w] = 1
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik == INF:
-                continue
-            di = dist[i]
-            for j in range(n):
-                if dik + dk[j] < di[j]:
-                    di[j] = dik + dk[j]
+    dist = []
+    for s in range(n):
+        row = [INF] * n
+        row[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if row[w] == INF:
+                    row[w] = row[u] + 1
+                    queue.append(w)
+        dist.append(row)
     return dist
 
 

@@ -103,7 +103,9 @@ def test_khop_saturated_components_run_no_products(monkeypatch):
         assert rows == [0], k
     rows.clear()
     ends = [798] + [799] * 798 + [798]  # only the two ends miss a node
-    assert bk.khop_size(path, 798).tolist() == ends and rows == [800]
+    got = bk.khop_size(path, 798)
+    assert got.tolist() == ends and rows == [800]
+    assert np.array_equal(got, oracles.brute_khop(path, 798))
     # a 30-node path, a triangle, a 2-node component and isolated nodes
     adj = [[]] + _path(30, 1) + [[]] + [[33, 34], [32, 34], [32, 33], [36], [35], [], []]
     for k, unsaturated in ((1, 33), (2, 30), (28, 30), (29, 0), (10**9, 0)):
@@ -208,6 +210,22 @@ def test_stress1_matches_unblocked_reference(net20k):
     assert (a @ deg).sum() > 4 * bk.centrality._GATHER_BUDGET
     ref = deg * (deg - 1) // 2 - (a @ a).multiply(a).sum(axis=1) // 2
     assert np.array_equal(bk.stress1(net20k), ref)
+
+
+def test_relabel_memory_at_20k(net20k):
+    # csgraph labels the components on the network's own CSR, so _relabel
+    # peaks in its one-byte gather and transpose, about 10.4 B an adjacency
+    # entry; csgraph's float64 copy of a one-byte adjacency took it to 13.2
+    import tracemalloc
+
+    centrality._relabel(net20k)  # the first call imports csgraph
+    tracemalloc.start()
+    try:
+        centrality._relabel(net20k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11.5 * len(net20k.indices), peak / len(net20k.indices)
 
 
 def test_st_star_hub_full():

@@ -287,7 +287,7 @@ def test_theory_dist(tmp_path):
 
 @pytest.mark.parametrize("s, mu, message", [
     ("nan", "20", "boundary distance must be >= 0"),  # once numpy's "lam < 0 or lam is NaN"
-    ("0.0", "inf", "mu must be positive"),            # once numpy's "lam value too large"
+    ("0.0", "inf", "mu must be finite"),              # once numpy's "lam value too large"
     ("0.0", "nan", "mu must be positive"),
 ])
 def test_theory_dist_nonfinite_exits_1(tmp_path, capsys, s, mu, message):

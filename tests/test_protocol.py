@@ -691,20 +691,31 @@ def test_strips_split_and_order():
     assert [s.tolist() for s in strips] == [[3, 4, 5], [0, 1], [7, 8]]
 
 
-def test_strips_memory_per_adjacency_entry():
-    # the strips are labelled on a one-byte adjacency, so the peak stays
-    # under 10 bytes an adjacency entry; float64 ones alone would take 8
-    net = network(24, n=3000, side=12.5, r=1.0)  # mean degree about 57
-    labels, _ = default_run(net)
-    assert 0.2 < labels.mean() < 0.8
+def _traced(fn, *args):
+    """fn(*args) and the peak of the memory that tracemalloc saw it allocate."""
     tracemalloc.start()
     try:
-        strips = bk.boundary_strips(net, labels)
-        peak = tracemalloc.get_traced_memory()[1]
+        return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(map(len, strips)) == labels.sum()
-    assert peak < 10 * len(net.indices), peak / len(net.indices)
+
+
+def test_strips_memory_per_adjacency_entry():
+    # the strips are gathered on a one-byte adjacency, and csgraph labels the
+    # gathered CSR as it is, so the peak stays under 10 bytes an adjacency
+    # entry, and under 14 with every node labelled, where a float64 copy of
+    # the subgraph took 18.5; float64 ones alone would take 8
+    net = network(24, n=3000, side=12.5, r=1.0)  # mean degree about 57
+    m = len(net.indices)
+    labels, _ = default_run(net)
+    assert 0.2 < labels.mean() < 0.8
+    (label, size), peak = _traced(centrality._components, net.indptr, net.indices)
+    assert size.sum() == net.n and len(label) == net.n
+    assert peak < m, peak / m  # O(n): csgraph copies no array of the graph
+    for marks, bound in ((labels, 10), (np.ones(net.n, dtype=bool), 14)):
+        strips, peak = _traced(bk.boundary_strips, net, marks)
+        assert sum(map(len, strips)) == marks.sum()
+        assert peak < bound * m, peak / m
 
 
 def test_strips_reject_label_length():

@@ -124,9 +124,11 @@ def test_sample_st_validation():
     for s in (math.nan, -math.inf):
         with pytest.raises(ValueError, match="boundary distance must be >= 0"):
             bk.sample_st(s, 200.0, 100, seed=1)
-    for mu in (math.inf, math.nan, -math.inf):
+    for mu in (math.nan, -math.inf):
         with pytest.raises(ValueError, match="mu must be positive"):
             bk.sample_st(0.0, mu, 100, seed=1)
+    with pytest.raises(ValueError, match="mu must be finite"):
+        bk.sample_st(0.0, math.inf, 100, seed=1)
     # and the closed forms once returned nan
     for f in (bk.clipped_disk_area, bk.st_dense, bk.neighborhood_st):
         with pytest.raises(ValueError, match="boundary distance must be >= 0"):
