@@ -208,7 +208,10 @@ def _product(x, a, span):
 
 def _components(indptr, indices):
     """The component label of each node of the CSR graph (indptr, indices) and
-    the size of each component; csgraph allocates O(n) and copies no array."""
+    the size of each component; csgraph allocates O(n) and copies no array.
+    Any CSR is labelled by its strong components: on one with the rows of
+    unlabelled nodes emptied, they are the labelled subgraph's components,
+    and each unlabelled node alone."""
     from scipy.sparse.csgraph import connected_components
 
     # csgraph reads only the pattern of a float64 CSR, so its ones can be one

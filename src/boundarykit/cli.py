@@ -68,7 +68,8 @@ def _build_parser():
     r.add_argument("--filter", action=argparse.BooleanOptionalAction, default=True)
     r.add_argument("--min-boundary-neighbors", type=int, default=2)
     r.add_argument("--root", type=int, help="explicit root id (default min-id election)")
-    r.add_argument("--band", type=float, help="ground-truth band width (default radius)")
+    r.add_argument("--band", type=float,
+                   help="ground-truth band width (default radius); needs --region")
     r.add_argument("--out", required=True, help="classification CSV destination")
     r.add_argument("--trace", help="round trace CSV destination")
 
@@ -126,6 +127,8 @@ def _cmd_centrality(args):
 
 
 def _cmd_protocol(args):
+    if args.band is not None and not args.region:
+        raise ValueError("--band needs --region, the region its ground truth is taken in")
     from . import geometry, netgen, protocol
 
     region = geometry.load_region(args.region) if args.region else None

@@ -392,7 +392,7 @@ def run_protocol(graph, config=None):
         trace._log_round(6, senders, senders)
         core = declared & (mean_st <= neighborhood_st(1.0))
         src = np.flatnonzero(core)  # the candidates' rows give their edges
-        src, dst = np.repeat(src, degs[src]), adj[src].indices
+        src, dst = np.repeat(src, degs[src]), indices[np.repeat(core, degs)]
         lower = s_closed[dst] * closed[src] < s_closed[src] * closed[dst]
         rank = np.bincount(src[lower], minlength=n)
         core &= rank <= dhat[comp] * (clipped_disk_area(_CORE_DEPTH) - np.pi / 2.0) / np.pi
@@ -438,20 +438,24 @@ def boundary_strips(graph, labels):
     """Connected components of the boundary-labeled subgraph.
 
     Returns a list of sorted id arrays, largest component first (ties by
-    smallest member id), labelled on the gathered subgraph's CSR arrays.
+    smallest member id).  They are the strong components of the graph's CSR
+    with the unlabelled rows emptied: an edge into an unlabelled node is
+    one-way and lies on no cycle, so no subgraph is built.
     """
-    adj = _adjacency(*as_csr(graph), bool)  # one byte per entry to gather
+    indptr, indices = as_csr(graph)
+    degs = np.diff(indptr)
     labels = np.asarray(labels, dtype=bool)
-    if labels.shape != (adj.shape[0],):
-        raise ValueError(f"labels must have one entry per node ({adj.shape[0]}), "
+    if labels.shape != degs.shape:
+        raise ValueError(f"labels must have one entry per node ({len(degs)}), "
                          f"got shape {labels.shape}")
     idx = np.flatnonzero(labels)
     if len(idx) == 0:
         return []
-    sub = adj[idx][:, idx]
-    comp, sizes = _components(sub.indptr, sub.indices)
+    kept = np.concatenate((indptr[:1], np.cumsum(degs * labels, dtype=indptr.dtype)))
+    comp = _components(kept, indices[np.repeat(labels, degs)])[0][idx]
     # idx is ascending, so a stable sort by component keeps each strip sorted
-    strips = np.split(idx[np.argsort(comp, kind="stable")], np.cumsum(sizes)[:-1])
+    order = np.argsort(comp, kind="stable")
+    strips = np.split(idx[order], np.flatnonzero(np.diff(comp[order])) + 1)
     strips.sort(key=lambda a: (-len(a), int(a[0])))
     return strips
 

@@ -76,11 +76,13 @@ def sigma_interior():
 def clipped_disk_area(s):
     """Area of the unit disk around a node at distance ``s`` from a straight
     boundary.  ValueError unless s >= 0, so on nan; s = inf, an interior
-    node, gives pi, as every s >= 1 does."""
+    node, gives pi, as every s >= 1 does.  A narrower float, such as a numpy
+    float32, is evaluated as the float64 it holds."""
     if not s >= 0:  # false for nan
         raise ValueError("boundary distance must be >= 0")
     if s >= 1.0:
         return float(np.pi)
+    s = float(s)
     return float(np.pi - (np.arccos(s) - s * np.sqrt(1.0 - s * s)))
 
 
@@ -110,8 +112,7 @@ def st_dense(s):
     the lens of two unit disks cut at y = h_y - s.  ValueError unless
     s >= 0, as in ``clipped_disk_area``.
     """
-    if not s >= 0:  # false for nan
-        raise ValueError("boundary distance must be >= 0")
+    area = clipped_disk_area(s)
     s = min(float(s), 1.0)
     phi, wphi = _gauss(0.0, np.pi / 2.0)
     rho, wrho = _gauss(0.0, 1.0)
@@ -125,7 +126,7 @@ def st_dense(s):
     width = np.clip(np.minimum(a, hx + b) - np.maximum(-a, hx - b), 0.0, None)
     overlap = (1.0 - lo[..., 0]) * (width @ wu)
     near = 4.0 * (wphi @ overlap @ (wrho * rho))
-    return float(1.0 - near / clipped_disk_area(s) ** 2)
+    return float(1.0 - near / area ** 2)
 
 
 @lru_cache(maxsize=16)
@@ -137,14 +138,13 @@ def neighborhood_st(s):
     s + y and mean st ``st_dense(s + y)``, which is sigma from s + y >= 1 on.
     ValueError unless s >= 0, as in ``clipped_disk_area``.
     """
-    if not s >= 0:  # false for nan
-        raise ValueError("boundary distance must be >= 0")
+    area = clipped_disk_area(s)
     lo = -min(float(s), 1.0)
     knee = min(max(1.0 - s, lo), 1.0)  # above it the neighbors are interior
     y, w = _gauss(lo, knee)
     near = sum(wi * 2.0 * np.sqrt(1.0 - yi * yi) * st_dense(s + yi) for yi, wi in zip(y, w))
     far = sigma_interior() * (np.arccos(knee) - knee * np.sqrt(1.0 - knee * knee))
-    return float((near + far) / clipped_disk_area(s))
+    return float((near + far) / area)
 
 
 @dataclass
@@ -298,14 +298,13 @@ def sample_st(s, mu, samples, seed, workers=None):
     workers : int, optional
         Thread count; defaults to the environment override or cpu count.
     """
-    if not s >= 0:  # false for nan
-        raise ValueError("boundary distance must be >= 0")
+    area = clipped_disk_area(s)
     if not 0 < mu < np.inf:  # false for nan
         raise ValueError("mu must be finite" if mu == np.inf else "mu must be positive")
     if not is_integer(samples) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     samples = int(samples)  # a numpy integer could wrap in the batch sums
-    lam = mu * clipped_disk_area(s) / np.pi
+    lam = mu * area / np.pi
     nbatch = (samples + _BATCH - 1) // _BATCH
     seeds = np.random.SeedSequence(seed).spawn(nbatch)
     counts = [_BATCH] * (nbatch - 1) + [samples - _BATCH * (nbatch - 1)]

@@ -54,6 +54,16 @@ def geometric_graph(n, radius, rng, box=1.0):
     return pts, brute_adjacency(pts, radius)
 
 
+def random_graph(seed):
+    """Mixed family used by the identity checks: an ER or a geometric graph of 5-44 nodes."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 45))
+    if rng.random() < 0.5:
+        return er_graph(n, float(rng.uniform(0.05, 0.4)), rng)
+    _, adj = geometric_graph(n, float(rng.uniform(0.2, 0.5)), rng)
+    return adj
+
+
 # ---------------------------------------------------------------------------
 # region geometry
 
@@ -123,6 +133,28 @@ def hop_distances(adj):
                     queue.append(w)
         dist.append(row)
     return dist
+
+
+def labelled_components(adj, labels):
+    """Components of the subgraph on the labelled nodes, by a BFS that steps
+    only onto labelled nodes: sorted id lists, largest first, ties by
+    smallest id."""
+    seen = [False] * len(adj)
+    comps = []
+    for s in range(len(adj)):
+        if not labels[s] or seen[s]:
+            continue
+        seen[s] = True
+        comp, queue = [s], deque([s])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if labels[w] and not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    comps.sort(key=lambda c: (-len(c), c[0]))
+    return comps
 
 
 def all_shortest_paths_from(adj, dist, s):

@@ -24,16 +24,6 @@ K4 = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 WHEEL4 = [[1, 2, 3, 4], [0, 2, 4], [0, 1, 3], [0, 2, 4], [0, 1, 3]]  # hub 0 + C4
 
 
-def random_graph(seed):
-    """Mixed family used by the identity checks."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(5, 45))
-    if rng.random() < 0.5:
-        return oracles.er_graph(n, float(rng.uniform(0.05, 0.4)), rng)
-    _, adj = oracles.geometric_graph(n, float(rng.uniform(0.2, 0.5)), rng)
-    return adj
-
-
 # -- khop --------------------------------------------------------------------
 
 
@@ -252,7 +242,7 @@ def test_st_range():
 
 def test_oracle_agreement_small_battery():
     for seed in range(30):
-        adj = random_graph(seed)
+        adj = oracles.random_graph(seed)
         o_stress, o_betw, o_rstr = oracles.brute_path_measures(adj, deltas=(1, 2))
         assert np.array_equal(bk.stress_centrality(adj), o_stress), seed
         assert bk.betweenness_centrality(adj) == pytest.approx(o_betw, abs=1e-9), seed
@@ -273,7 +263,7 @@ def test_disconnected_graph():
 @settings(max_examples=20, deadline=None)
 @given(st_.integers(min_value=0, max_value=10_000))
 def test_identities_random(seed):
-    adj = random_graph(seed)
+    adj = oracles.random_graph(seed)
     degs = np.array([len(a) for a in adj])
     s1 = bk.stress1(adj)
     # every non-adjacent neighbour pair is one 2-hop geodesic through v,
@@ -407,7 +397,7 @@ def test_exact_checks_agree_with_oracle(monkeypatch):
     # exact check, which must pass and change nothing
     monkeypatch.setattr(centrality, "_INT64_END", 1)
     for seed in range(6):
-        adj = random_graph(seed)
+        adj = oracles.random_graph(seed)
         o_stress, _, o_rstr = oracles.brute_path_measures(adj, deltas=(1, 2))
         assert np.array_equal(bk.stress_centrality(adj), o_stress), seed
         for d in (1, 2):
@@ -496,7 +486,7 @@ def test_kernel_runs_no_symbolic_pass(monkeypatch):
     with pytest.raises(AssertionError, match="symbolic"):
         a @ a  # the patch reaches the pass that `x @ a` runs
     # stress1, and so delta = 1, runs `rows @ a`; the kernel runs from delta = 2
-    graphs = [random_graph(seed) for seed in range(30)]
+    graphs = [oracles.random_graph(seed) for seed in range(30)]
     wants = [_exact(adj, (2, 3)) for adj in graphs]
     for w in (1, 2):
         monkeypatch.setenv(centrality.WORKERS_ENV, str(w))
@@ -770,7 +760,7 @@ def test_delta_one_runs_no_kernel_and_refuses_loops(monkeypatch):
 
     plain = _extremes()
     graphs = [[[]], [[], []], [[1], [0]], PATH4, CYCLE5, plain, _interleaved(),
-              *(random_graph(seed) for seed in range(10))]
+              *(oracles.random_graph(seed) for seed in range(10))]
     wants = [np.array(oracles.exact_brandes(adj, deltas=(1,))[2][1], dtype=np.int64)
              for adj in graphs]
     net = bk.build_network(bk.square_with_hole(6.0, 2.0), 120, 1.0, seed=8)

@@ -227,6 +227,19 @@ def test_protocol_with_region_prints_rates(tmp_path, region_file, capsys):
         assert not (tmp_path / "bad.csv").exists()
 
 
+def test_protocol_band_needs_region(triangle_file, tmp_path, capsys):
+    # a band without a region sets no ground truth, valid or not
+    for band in ("0.5", "nan"):
+        out, trace = tmp_path / "c.csv", tmp_path / "t.csv"
+        rc = main(["protocol", "--network", str(triangle_file), "--band", band,
+                   "--out", str(out), "--trace", str(trace)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "--band" in captured.err and "--region" in captured.err
+        assert captured.out == ""
+        assert not out.exists() and not trace.exists()
+
+
 def test_protocol_rule_one_hop(tmp_path, region_file):
     netfile = tmp_path / "net.txt"
     main(["generate", "--region", str(region_file), "--nodes", "300",

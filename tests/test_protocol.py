@@ -701,10 +701,11 @@ def _traced(fn, *args):
 
 
 def test_strips_memory_per_adjacency_entry():
-    # the strips are gathered on a one-byte adjacency, and csgraph labels the
-    # gathered CSR as it is, so the peak stays under 10 bytes an adjacency
-    # entry, and under 14 with every node labelled, where a float64 copy of
-    # the subgraph took 18.5; float64 ones alone would take 8
+    # csgraph labels the graph's CSR with the unlabelled rows emptied, which
+    # costs a one-byte entry mask and the kept entries' indices: the peak
+    # stays under 3 bytes an adjacency entry with the protocol's labels (2.2
+    # measured) and under 7 with every node labelled (5.3); a subgraph
+    # gathered from a one-byte adjacency takes 3.4 and 11.5
     net = network(24, n=3000, side=12.5, r=1.0)  # mean degree about 57
     m = len(net.indices)
     labels, _ = default_run(net)
@@ -712,10 +713,31 @@ def test_strips_memory_per_adjacency_entry():
     (label, size), peak = _traced(centrality._components, net.indptr, net.indices)
     assert size.sum() == net.n and len(label) == net.n
     assert peak < m, peak / m  # O(n): csgraph copies no array of the graph
-    for marks, bound in ((labels, 10), (np.ones(net.n, dtype=bool), 14)):
+    for marks, bound in ((labels, 3), (np.ones(net.n, dtype=bool), 7)):
         strips, peak = _traced(bk.boundary_strips, net, marks)
         assert sum(map(len, strips)) == marks.sum()
         assert peak < bound * m, peak / m
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_strips_match_bfs_oracle(p):
+    # components of the labelled subgraph by a BFS over labelled nodes only,
+    # on the random family, with every node and with none labelled on a few
+    for seed in range(200):
+        adj = oracles.random_graph(seed)
+        marks = [np.random.default_rng(seed).random(len(adj)) < p]
+        if seed < 5:
+            marks += [np.ones(len(adj), dtype=bool), np.zeros(len(adj), dtype=bool)]
+        for labels in marks:
+            got = [s.tolist() for s in bk.boundary_strips(adj, labels)]
+            assert got == oracles.labelled_components(adj, labels), seed
+
+
+def test_strips_unlabelled_hub():
+    # six one-way edges of the masked CSR lead into the hub, and join nothing
+    star = [list(range(1, 7))] + [[0]] * 6
+    labels = np.arange(7) > 0
+    assert [s.tolist() for s in bk.boundary_strips(star, labels)] == [[v] for v in range(1, 7)]
 
 
 def test_strips_reject_label_length():

@@ -102,6 +102,9 @@ def test_clipped_disk_area():
     assert bk.clipped_disk_area(5.0) == pytest.approx(math.pi)
     with pytest.raises(ValueError):
         bk.clipped_disk_area(-0.5)
+    # a float32 distance is the float64 it holds, in the area and in st_dense
+    for f in (bk.clipped_disk_area, bk.st_dense):
+        assert f(np.float32(0.3)) == f(float(np.float32(0.3)))
 
 
 def test_clipped_disk_area_monotone():
