@@ -12,8 +12,10 @@ WORKERS_ENV = "BOUNDARYKIT_WORKERS"
 def resolve_workers(workers=None):
     """Worker count: explicit argument, else env override, else cpu count."""
     if workers is not None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        from ._arrays import is_integer  # here, so that importing this module loads no numpy
+
+        if not is_integer(workers) or workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
         return int(workers)
     env = os.environ.get(WORKERS_ENV)
     if env is not None:

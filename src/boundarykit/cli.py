@@ -62,11 +62,12 @@ def _build_parser():
     r = sub.add_parser("protocol", help="run the boundary protocol")
     r.add_argument("--network", required=True)
     r.add_argument("--region", help="region file for ground-truth rates")
-    r.add_argument("--theta", type=float, default=1.0 / 3.0)
-    r.add_argument("--rule", choices=_RULES, default="core",
+    # no defaults: an option not given is left to ProtocolConfig, their one home
+    r.add_argument("--theta", type=float)
+    r.add_argument("--rule", choices=_RULES,
                    help="decision rule of phase 6 (one-hop suits low density)")
-    r.add_argument("--filter", action=argparse.BooleanOptionalAction, default=True)
-    r.add_argument("--min-boundary-neighbors", type=int, default=2)
+    r.add_argument("--filter", action=argparse.BooleanOptionalAction)
+    r.add_argument("--min-boundary-neighbors", type=int)
     r.add_argument("--root", type=int, help="explicit root id (default min-id election)")
     r.add_argument("--band", type=float,
                    help="ground-truth band width (default radius); needs --region")
@@ -135,10 +136,9 @@ def _cmd_protocol(args):
     net = netgen.load_network(args.network, region=region)
     # a bad --band fails here, before the run writes any output
     truth = netgen.ground_truth(net, band=args.band) if region is not None else None
-    config = protocol.ProtocolConfig(
-        theta=args.theta, rule=args.rule, filter_enabled=args.filter,
-        filter_min_boundary_neighbors=args.min_boundary_neighbors,
-        root=args.root)
+    given = {"theta": args.theta, "rule": args.rule, "filter_enabled": args.filter,
+             "filter_min_boundary_neighbors": args.min_boundary_neighbors, "root": args.root}
+    config = protocol.ProtocolConfig(**{k: v for k, v in given.items() if v is not None})
     labels, trace = protocol.run_protocol(net, config)
     protocol.classification_to_csv(net, trace, args.out)
     if args.trace:
@@ -177,10 +177,11 @@ def _cmd_theory(args):
 _CLASSES = {"interior": 0.0, "boundary": 1.0}
 
 
-def _load_values_csv(path, n):
-    """Per-node values from a centrality CSV (node_id,value) or a
-    classification CSV (boundary 1, interior 0).  A bad id, value or class
-    word, or a node given twice, raises FileFormatError at its line."""
+def _load_values_csv(path, n, kind):
+    """Per-node values from a CSV of ``kind``: "centrality" (node_id,value)
+    or "classification" (the protocol's export; boundary 1, interior 0).  A
+    row of the other kind, a bad id, value or class word, or a node given
+    twice, raises FileFormatError at its line."""
     values = np.full(n, np.nan)  # nan until the node's line is read
     lines = read_text(path).splitlines()
 
@@ -200,19 +201,19 @@ def _load_values_csv(path, n):
             fail(f"node id {idx} out of range", lineno)
         if not math.isnan(values[idx]):
             fail(f"node id {idx} given twice", lineno)
-        if len(parts) == 2:          # centrality: node_id,value
+        if kind == "centrality" and len(parts) == 2:
             try:
                 value = float(parts[1])
             except ValueError:
                 fail(f"bad value in row {row!r}", lineno)
             if not math.isfinite(value):
                 fail(f"non-finite value in row {row!r}", lineno)
-        elif len(parts) >= 6:        # classification export
+        elif kind == "classification" and len(parts) >= 6:
             value = _CLASSES.get(parts[5])
             if value is None:
                 fail(f"unknown classification {parts[5]!r}", lineno)
         else:
-            fail(f"unrecognized row {row!r}", lineno)
+            fail(f"not a {kind} row: {row!r}", lineno)
         values[idx] = value
     if np.any(np.isnan(values)):
         missing = int(np.isnan(values).sum())
@@ -226,11 +227,11 @@ def _cmd_render(args):
     region = geometry.load_region(args.region) if args.region else None
     net = netgen.load_network(args.network, region=region)
     if args.centrality:
-        values = _load_values_csv(args.centrality, net.n)
+        values = _load_values_csv(args.centrality, net.n, "centrality")
         render.render_centrality(net, values, args.out, region=region,
                                  point_size=args.point_size)
     else:
-        values = _load_values_csv(args.classification, net.n)
+        values = _load_values_csv(args.classification, net.n, "classification")
         render.render_classification(net, values > 0.5, args.out, region=region,
                                      point_size=args.point_size)
     print(f"wrote {args.out}: {net.n} nodes")

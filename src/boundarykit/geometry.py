@@ -6,9 +6,10 @@ arrays; orientation is normalized on construction (outer counter-clockwise,
 holes clockwise) so callers may supply rings in either winding.
 
 Validation costs O(E^2) pair tests for E edges, in numpy: one closed-segment
-test over arrays of edges (``_touching``), chunked, which ``contains`` also
-uses for points on an edge.  Point location is one chunked pass of
-O(points x E) pair tests: each point's even-odd parity against each ring.
+test over arrays of edges (``_touching``), chunked.  Point location is one
+chunked pass of O(points x E) pair tests: each point's even-odd parity
+against each ring, and one cross product of the point against each edge,
+zero for a point on the edge's line.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ def _row_chunks(rows, cols):
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
+def _side(s, x, y):  # cross product of s's direction and (x, y) - s's start
+    return (s[2] - s[0]) * (y - s[1]) - (s[3] - s[1]) * (x - s[0])
+
+
+def _on(s, x, y, d):  # (x, y) on the line of s (d == 0) and within s's box
+    return ((d == 0) & (np.minimum(s[0], s[2]) <= x) & (x <= np.maximum(s[0], s[2]))
+            & (np.minimum(s[1], s[3]) <= y) & (y <= np.maximum(s[1], s[3])))
+
+
 def _touching(a, b):
     """(k, E) bool matrix: closed segment a[i] shares a point with closed segment b[j].
 
@@ -51,24 +61,17 @@ def _touching(a, b):
     on opposite sides of the other, or when a cross product is exactly 0 and
     its end lies in the other segment's bounding box.
     """
-    def side(s, x, y):  # cross product of s's direction and (x, y) - s's start
-        return (s[2] - s[0]) * (y - s[1]) - (s[3] - s[1]) * (x - s[0])
-
-    def on(s, x, y, d):  # (x, y) on the line of s (d == 0) and within s's box
-        return ((d == 0) & (np.minimum(s[0], s[2]) <= x) & (x <= np.maximum(s[0], s[2]))
-                & (np.minimum(s[1], s[3]) <= y) & (y <= np.maximum(s[1], s[3])))
-
     out = np.empty((len(a), len(b)), dtype=bool)
     sb = b.T
     for rows in _row_chunks(len(a), len(b)):
         sa = a[rows].T[:, :, None]  # columns of the chunk's rows
-        d1, d2 = side(sb, sa[0], sa[1]), side(sb, sa[2], sa[3])
-        d3, d4 = side(sa, sb[0], sb[1]), side(sa, sb[2], sb[3])
+        d1, d2 = _side(sb, sa[0], sa[1]), _side(sb, sa[2], sa[3])
+        d3, d4 = _side(sa, sb[0], sb[1]), _side(sa, sb[2], sb[3])
         out[rows] = (
             ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
             & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
-            | on(sb, sa[0], sa[1], d1) | on(sb, sa[2], sa[3], d2)
-            | on(sa, sb[0], sb[1], d3) | on(sa, sb[2], sb[3], d4))
+            | _on(sb, sa[0], sa[1], d1) | _on(sb, sa[2], sa[3], d2)
+            | _on(sa, sb[0], sb[1], d3) | _on(sa, sb[2], sb[3], d4))
     return out
 
 
@@ -202,9 +205,14 @@ def contains(region, p):
     """
     p = _points(p)
     pts = p.reshape(-1, 2)
-    # a point is a zero-length segment, touching an edge it lies on (none if not finite)
+    # a point is on an edge when their cross product is 0 and it lies in the
+    # edge's box (never if it is not finite)
+    sb = region.edge_array().T
+    on_edge = np.empty(len(pts), dtype=bool)
     with np.errstate(invalid="ignore"):
-        on_edge = _touching(pts[:, [0, 1, 0, 1]], region.edge_array()).any(axis=1)
+        for rows in _row_chunks(len(pts), sb.shape[1]):
+            x, y = pts[rows, :1], pts[rows, 1:]
+            on_edge[rows] = _on(sb, x, y, _side(sb, x, y)).any(axis=1)
     par = _parities(region, pts)
     inside = (par[:, 0] & ~par[:, 1:].any(axis=1)) | on_edge
     return inside if p.ndim == 2 else bool(inside[0])

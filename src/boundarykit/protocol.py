@@ -56,6 +56,11 @@ RULES = ("core", "one-hop")
 # declares when its closed neighborhood holds at least _CORE_COUNT cores
 _CORE_DEPTH = 0.25
 _CORE_COUNT = 3
+# phase 3 counts every degree above _DEGREE_CAP in one overflow bucket,
+# cap + 1, which phase 4 smooths with the rest over _WINDOW buckets; when the
+# mode falls there, dhat is that bucket's lower bound, cap + 1
+_DEGREE_CAP = 1024
+_WINDOW = 5
 # phases 1-2 push at most this many messages at a time, so that a round's
 # temporaries stay small whatever the number of edges; of the powers of two
 # timed at 20k nodes and degree 100, this one ran fastest
@@ -77,18 +82,14 @@ class ProtocolConfig:
     selects the phase-6 decision: ``"core"`` (default), the neighborhood-core
     rule, or ``"one-hop"``, which declares exactly the nodes with
     stress1 <= T.  The filter drops a declaration with fewer than
-    ``filter_min_boundary_neighbors`` declared neighbors.  Phase 3 counts
-    every degree above ``degree_cap`` in one overflow bucket, cap + 1, which
-    phase 4 smooths with the rest (``smoothing_window`` buckets wide); when
-    the mode falls there, dhat is its lower bound cap + 1.
+    ``filter_min_boundary_neighbors`` declared neighbors.  These defaults
+    are the only copy: the CLI passes on only the options it is given.
     """
     theta: float = 1.0 / 3.0
     rule: str = "core"
     filter_enabled: bool = True
     filter_min_boundary_neighbors: int = 2
     root: int | None = None      # None: min-id election; else explicit root id
-    degree_cap: int = 1024
-    smoothing_window: int = 5
 
     def __post_init__(self):
         sigma = sigma_interior()
@@ -98,14 +99,11 @@ class ProtocolConfig:
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}; choose from {', '.join(RULES)}")
         # numpy integers are kept as Python ints, whose arithmetic cannot wrap
-        for name, least in (("filter_min_boundary_neighbors", 0), ("degree_cap", 1),
-                            ("smoothing_window", 1)):
-            value = getattr(self, name)
-            if not is_integer(value) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            setattr(self, name, int(value))
-        if self.smoothing_window % 2 == 0:
-            raise ValueError("smoothing_window must be a positive odd integer")
+        value = self.filter_min_boundary_neighbors
+        if not is_integer(value) or value < 0:
+            raise ValueError(
+                f"filter_min_boundary_neighbors must be an integer >= 0, got {value!r}")
+        self.filter_min_boundary_neighbors = int(value)
         if self.root is not None:
             if not is_integer(self.root):
                 raise ValueError(f"root must be None or an integer node id, got {self.root!r}")
@@ -353,13 +351,13 @@ def run_protocol(graph, config=None):
     degs = np.diff(indptr)
     adj = _adjacency(indptr, indices)
     trace = ProtocolTrace(n=n, degrees=degs.astype(np.int64))
-    width = config.degree_cap + 2  # the buckets 0..cap and the overflow bucket
+    width = _DEGREE_CAP + 2  # the buckets 0..cap and the overflow bucket
     comp, roots, level, parent, keys, counts = _tree_phases(
-        indptr, indices, config.root, config.degree_cap, trace)
+        indptr, indices, config.root, _DEGREE_CAP, trace)
     trace.component_id = comp
 
     # -- phase 4: dhat and T at every root, flooded down the tree; T = 0.0, not -0.0, at dhat 0
-    dhat = _smoothed_modes(keys, counts, width, config.smoothing_window)
+    dhat = _smoothed_modes(keys, counts, width, _WINDOW)
     thresholds = np.where(dhat > 1, config.theta * dhat * (dhat - 1) / 2.0, 0.0)
     ends = np.searchsorted(keys, np.arange(len(roots) + 1) * width).tolist()
     buckets, counts = (keys % width).tolist(), counts.tolist()

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._arrays import distinct, is_integer
 from ._workers import ordered_map, resolve_workers
-from .errors import BinningMismatchError
+from .errors import BinningMismatchError, FileFormatError, read_text
 
 _BATCH = 10_000
 _DEFAULT_BINS = 100
@@ -169,17 +169,19 @@ class StDistribution:
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        """Read a file that ``to_csv`` wrote; FileFormatError (a ValueError)
+        for a file that is not one, at the line where one is bad."""
+        path = str(path)
+        lines = read_text(path).splitlines()
         if len(lines) < 3 or not lines[0].startswith("# "):
-            raise ValueError(f"{path}: not an st-distribution CSV")
+            raise FileFormatError("not an st-distribution CSV", path=path)
         try:
             meta = json.loads(lines[0][2:])
             s, mu, mean, stddev = (float(meta[k]) for k in ("s", "mu", "mean", "stddev"))
             samples = int(meta["samples"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: expected numeric s, mu, samples, mean and stddev "
-                             f"in the header ({exc!r})") from None
+            raise FileFormatError("expected numeric s, mu, samples, mean and stddev "
+                                  f"in the header ({exc!r})", line=1, path=path) from None
         lows, highs, counts = [], [], []
         for lineno, row in enumerate(lines[2:], start=3):
             if not row:
@@ -190,10 +192,10 @@ class StDistribution:
                 highs.append(float(b))
                 counts.append(int(c))
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected bin_low,bin_high,count, "
-                                 f"got {row!r}") from None
+                raise FileFormatError(f"expected bin_low,bin_high,count, got {row!r}",
+                                      line=lineno, path=path) from None
         if not lows or lows[1:] != highs[:-1]:
-            raise ValueError(f"{path}: expected bins that abut, got {len(lows)} rows")
+            raise FileFormatError(f"expected bins that abut, got {len(lows)} rows", path=path)
         edges = np.array(lows + [highs[-1]])
         return cls(s=s, mu=mu, samples=samples, bin_edges=edges,
                    counts=np.array(counts, dtype=np.int64), mean=mean, stddev=stddev)

@@ -280,6 +280,47 @@ def test_protocol_no_filter(triangle_file, tmp_path):
     assert rc == 0
 
 
+def test_protocol_defaults_are_the_library_defaults(tmp_path, region_file):
+    netfile = tmp_path / "net.txt"
+    main(["generate", "--region", str(region_file), "--nodes", "300",
+          "--radius", "0.6", "--seed", "3", "--out", str(netfile)])
+    net = bk.load_network(netfile)
+
+    def run(name, *options):
+        out, trace = tmp_path / f"{name}.csv", tmp_path / f"{name}-rounds.csv"
+        assert main(["protocol", "--network", str(netfile), *options,
+                     "--out", str(out), "--trace", str(trace)]) == 0
+        return out.read_text(), trace.read_text()
+
+    def expected(name, config):
+        labels, trace = bk.run_protocol(net, config)
+        bk.trace_to_csv(trace, tmp_path / f"{name}-want.csv")
+        return labels.tolist(), (tmp_path / f"{name}-want.csv").read_text()
+
+    def labels_of(text):
+        return [r.split(",")[5] == "boundary" for r in text.splitlines()[1:]]
+
+    plain = run("plain")
+    assert (labels_of(plain[0]), plain[1]) == expected("plain", None)
+    assert run("spelled", "--theta", repr(1.0 / 3.0), "--rule", "core", "--filter",
+               "--min-boundary-neighbors", "2") == plain
+    # a false or zero option is passed on, and changes the output here
+    for base, option, config in (
+            ([], ["--no-filter"], {"filter_enabled": False}),
+            (["--rule", "one-hop"], ["--min-boundary-neighbors", "0"],
+             {"rule": "one-hop", "filter_min_boundary_neighbors": 0})):
+        got = run("given", *base, *option)
+        assert got != run("left", *base)
+        assert (labels_of(got[0]), got[1]) == expected("given", bk.ProtocolConfig(**config))
+
+
+def test_protocol_parser_copies_no_default():
+    # an option not given reaches ProtocolConfig as its own default
+    from boundarykit import cli
+    args = cli._build_parser().parse_args(["protocol", "--network", "n", "--out", "o"])
+    assert {k for k, v in vars(args).items() if v is not None} == {"command", "network", "out"}
+
+
 # -- theory ------------------------------------------------------------------
 
 
@@ -358,6 +399,21 @@ def test_render_from_classification(triangle_file, tmp_path, region_file):
     text = svg.read_text()
     assert text.count("<circle") == 3
     assert "<path" in text
+
+
+def test_render_refuses_the_other_csv_kind(triangle_file, tmp_path, capsys):
+    st, cls = tmp_path / "st.csv", tmp_path / "cls.csv"
+    main(["centrality", "--network", str(triangle_file), "--measure", "st", "--out", str(st)])
+    main(["protocol", "--network", str(triangle_file), "--out", str(cls)])
+    capsys.readouterr()
+    # each file's first row: st.csv has a comment and a header line, cls.csv a header
+    for option, path, kind, line in (("--classification", st, "classification", 3),
+                                     ("--centrality", cls, "centrality", 2)):
+        svg = tmp_path / "o.svg"
+        assert main(["render", "--network", str(triangle_file), option, str(path),
+                     "--out", str(svg)]) == 2
+        assert f"{path.name}:line {line}: not a {kind} row" in capsys.readouterr().err
+        assert not svg.exists()
 
 
 def test_render_count_mismatch(triangle_file, tmp_path):

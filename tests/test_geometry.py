@@ -135,6 +135,29 @@ def test_contains_matches_scalar_oracle(scale):
         assert got[:len(e)].all() and not got.all()
 
 
+def test_contains_equals_zero_length_segments():
+    # the one cross product against each edge gives what _touching gives for
+    # the point as a zero-length segment: random and grid points, points
+    # along the edges, vertices, and non-finite and huge points
+    rng = np.random.default_rng(11)
+    holes = [[(-5, -4), (-1, -3), (-3, 0)], [(1, 1), (4, 1), (4, 4), (1, 4)]]
+    for reg in (bk.square_with_hole(26.0, 8.0), _hole_grid(4),
+                bk.PolygonRegion(_ring(12, 10.0, phase=0.1), holes)):
+        e = reg.edge_array()
+        a, b = e[:, :2], e[:, 2:]
+        lo, hi = e.min() - 1, e.max() + 1
+        along = a[:, None] + (b - a)[:, None] * rng.random((len(e), 50, 1))
+        grid = np.mgrid[lo:hi:0.5, lo:hi:0.5].reshape(2, -1).T
+        odd = [(np.nan, 0), (0, np.inf), (-np.inf, np.nan), (1e308, -1e308)]
+        pts = np.vstack([a, b, along.reshape(-1, 2), grid, rng.uniform(lo, hi, (3000, 2)), odd])
+        with np.errstate(all="ignore"):
+            on_edge = geometry._touching(pts[:, [0, 1, 0, 1]], e).any(axis=1)
+            got = bk.contains(reg, pts)
+        par = geometry._parities(reg, pts)
+        assert np.array_equal(got, (par[:, 0] & ~par[:, 1:].any(axis=1)) | on_edge)
+        assert on_edge[:2 * len(e)].all() and not on_edge[-len(odd):].any()
+
+
 def test_contains_nonfinite_point_is_outside():
     reg = square4_with_hole()
     bad = [(np.inf, 0.5), (-np.inf, 0.5), (0.5, np.inf), (0.5, -np.inf), (np.nan, 0.5),

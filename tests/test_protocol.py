@@ -58,34 +58,34 @@ def test_theta_domain():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        bk.ProtocolConfig(smoothing_window=4)   # must be odd
-    with pytest.raises(ValueError):
         bk.ProtocolConfig(filter_min_boundary_neighbors=-1)
-    with pytest.raises(ValueError):
-        bk.ProtocolConfig(degree_cap=0)
     with pytest.raises(ValueError):
         bk.ProtocolConfig(rule="two-hop")
     # counts and ids are integers, a bool not among them; these once passed
-    # here and failed in run_protocol, or ran with a float window
-    for field, value in (("degree_cap", 2.5), ("degree_cap", True), ("root", True),
-                         ("root", 2.0), ("root", np.True_), ("smoothing_window", 3.0),
-                         ("smoothing_window", np.True_), ("filter_min_boundary_neighbors", 1.5),
-                         ("filter_min_boundary_neighbors", False), ("degree_cap", "8")):
+    # here and failed in run_protocol
+    for field, value in (("root", True), ("root", 2.0), ("root", np.True_),
+                         ("filter_min_boundary_neighbors", 1.5),
+                         ("filter_min_boundary_neighbors", False)):
         with pytest.raises(ValueError, match=field):
             bk.ProtocolConfig(**{field: value})
     # numpy integers are integers
-    config = bk.ProtocolConfig(degree_cap=np.int64(8), root=np.int32(0),
-                               smoothing_window=np.uint8(3), filter_min_boundary_neighbors=np.int16(1))
-    assert all(type(v) is int for v in (config.degree_cap, config.root, config.smoothing_window,
-                                        config.filter_min_boundary_neighbors))
+    config = bk.ProtocolConfig(root=np.int32(0), filter_min_boundary_neighbors=np.int16(1))
+    assert all(type(v) is int for v in (config.root, config.filter_min_boundary_neighbors))
     labels, trace = bk.run_protocol(TRIANGLE, config)
     assert labels.all() and trace.components[0].root == 0 and trace.components[0].dhat == 2
+
+
+def test_config_has_only_the_parameters_callers_set():
+    # the histogram cap and the smoothing window are protocol constants
+    assert [f.name for f in dataclasses.fields(bk.ProtocolConfig)] == [
+        "theta", "rule", "filter_enabled", "filter_min_boundary_neighbors", "root"]
+    assert (protocol._DEGREE_CAP, protocol._WINDOW) == (1024, 5)
 
 
 # -- worked examples ---------------------------------------------------------
 
 
-def test_triangle_all_boundary():
+def test_triangle_all_boundary(monkeypatch):
     labels, trace = default_run(TRIANGLE)
     assert labels.tolist() == [True, True, True]
     comp = trace.components[0]
@@ -94,20 +94,23 @@ def test_triangle_all_boundary():
     assert comp.histogram == {2: 3}
     # degree caps that leave the histogram shorter than the smoothing window
     for cap in (1, 2, 3):
-        labels, trace = default_run(TRIANGLE, degree_cap=cap)
+        monkeypatch.setattr(protocol, "_DEGREE_CAP", cap)
+        labels, trace = default_run(TRIANGLE)
         assert labels.tolist() == [True, True, True]
         comp = trace.components[0]
         assert comp.histogram == {2: 3}  # under cap 1, the overflow bucket
         assert comp.dhat == 2            # under cap 1, the bucket's lower bound
 
 
-def test_degrees_mostly_over_cap():
+def test_degrees_mostly_over_cap(monkeypatch):
     # K13 (degree 12, one node 13) plus a pendant leaf: under cap 10 all but
     # the leaf land in the overflow bucket 11, which holds the mode
     adj = [[u for u in range(13) if u != v] for v in range(13)] + [[0]]
     adj[0].append(13)
+    monkeypatch.setattr(protocol, "_DEGREE_CAP", 10)
     for window in (1, 5):
-        _, trace = default_run(adj, degree_cap=10, smoothing_window=window)
+        monkeypatch.setattr(protocol, "_WINDOW", window)
+        _, trace = default_run(adj)
         comp = trace.components[0]
         assert comp.histogram == {1: 1, 11: 13}
         assert comp.dhat == 11
@@ -340,15 +343,16 @@ def test_phase2_tree_matches_bfs_reference():
     assert trace.multi_component
 
 
-def test_phase3_convergecast_matches_reference():
+def test_phase3_convergecast_matches_reference(monkeypatch):
     # degree histograms merged node by node up the trace's tree, degrees
     # above the cap in the overflow bucket cap + 1: a node sends once all its
     # children have, so the round of a node is its subtree height, and a
     # histogram of k buckets costs 2k units
     sparse = network(8, n=150, r=0.6)
     cap = 4
+    monkeypatch.setattr(protocol, "_DEGREE_CAP", cap)
     for root in (None, 5):
-        _, trace = default_run(sparse, root=root, degree_cap=cap)
+        _, trace = default_run(sparse, root=root)
         parent = trace.parent.tolist()
         children = [[] for _ in range(sparse.n)]
         depth = [0] * sparse.n
@@ -413,7 +417,9 @@ def test_tree_phases_match_reference(rule, budget, monkeypatch):
         assert np.count_nonzero(comp == other) > 1 and root != trace.components[other].root
         trace = assert_matches_reference(net, monkeypatch, rule=rule, root=root)
         assert trace.components[other].root == root
-        trace = assert_matches_reference(net, monkeypatch, rule=rule, root=root, degree_cap=3)
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "_DEGREE_CAP", 3)
+            trace = assert_matches_reference(net, monkeypatch, rule=rule, root=root)
         assert any(4 in c.histogram for c in trace.components)
 
 

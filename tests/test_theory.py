@@ -382,6 +382,23 @@ def test_distribution_csv_malformed_row(tmp_path, row):
     assert str(p) in str(info.value)
 
 
+def test_distribution_csv_errors_carry_their_line(tmp_path):
+    # the reader contract of the region and network files: FileFormatError
+    # with .line and .path, a byte that is not UTF-8 included
+    p = tmp_path / "dist.csv"
+    head = '# {"s": 0.4, "mu": 25.0, "samples": 3, "mean": 0.5, "stddev": 0.1}\n'
+    for data, line, message in (
+            (head.encode() + b"bin_low,bin_high,count\r\n0.0,0.5,1\r0.5,1.0,\xff\n", 4,
+             "byte 0xff is not UTF-8"),
+            (head.encode() + b"bin_low,bin_high,count\n0.0,0.5,1\n0.5,1.0,x\n", 4,
+             "expected bin_low,bin_high,count, got '0.5,1.0,x'"),
+            (b'# {"s": 0.4}\nbin_low,bin_high,count\n0.0,0.5,1\n', 1, "expected numeric s")):
+        p.write_bytes(data)
+        with pytest.raises(bk.FileFormatError, match=f"line {line}: {message}") as info:
+            bk.StDistribution.from_csv(p)
+        assert info.value.line == line and info.value.path == str(p)
+
+
 @pytest.mark.parametrize("meta", [
     '{"s": 0.0}',
     '{"s": 0.4, "mu": "x", "samples": 3, "mean": 0.5, "stddev": 0.1}',
