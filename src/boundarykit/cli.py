@@ -66,8 +66,8 @@ def _build_parser():
     r.add_argument("--theta", type=float)
     r.add_argument("--rule", choices=_RULES,
                    help="decision rule of phase 6 (one-hop suits low density)")
-    r.add_argument("--filter", action=argparse.BooleanOptionalAction)
-    r.add_argument("--min-boundary-neighbors", type=int)
+    r.add_argument("--min-boundary-neighbors", type=int,
+                   help="declared neighbors a declaration needs (0: no filter)")
     r.add_argument("--root", type=int, help="explicit root id (default min-id election)")
     r.add_argument("--band", type=float,
                    help="ground-truth band width (default radius); needs --region")
@@ -136,7 +136,7 @@ def _cmd_protocol(args):
     net = netgen.load_network(args.network, region=region)
     # a bad --band fails here, before the run writes any output
     truth = netgen.ground_truth(net, band=args.band) if region is not None else None
-    given = {"theta": args.theta, "rule": args.rule, "filter_enabled": args.filter,
+    given = {"theta": args.theta, "rule": args.rule,
              "filter_min_boundary_neighbors": args.min_boundary_neighbors, "root": args.root}
     config = protocol.ProtocolConfig(**{k: v for k, v in given.items() if v is not None})
     labels, trace = protocol.run_protocol(net, config)
@@ -208,7 +208,7 @@ def _load_values_csv(path, n, kind):
                 fail(f"bad value in row {row!r}", lineno)
             if not math.isfinite(value):
                 fail(f"non-finite value in row {row!r}", lineno)
-        elif kind == "classification" and len(parts) >= 6:
+        elif kind == "classification" and len(parts) == 7:
             value = _CLASSES.get(parts[5])
             if value is None:
                 fail(f"unknown classification {parts[5]!r}", lineno)

@@ -209,7 +209,7 @@ def contains(region, p):
     # edge's box (never if it is not finite)
     sb = region.edge_array().T
     on_edge = np.empty(len(pts), dtype=bool)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_chunks(len(pts), sb.shape[1]):
             x, y = pts[rows, :1], pts[rows, 1:]
             on_edge[rows] = _on(sb, x, y, _side(sb, x, y)).any(axis=1)
@@ -248,12 +248,14 @@ def distances_to_boundary(region, pts):
     dy = by - ay
     seg2 = dx * dx + dy * dy  # validation guarantees > 0
     best = np.empty(len(pts))
-    for rows in _row_chunks(len(pts), len(ax)):
-        px, py = pts[rows, :1], pts[rows, 1:]
-        t = np.clip(((px - ax) * dx + (py - ay) * dy) / seg2, 0.0, 1.0)
-        qx = ax + t * dx
-        qy = ay + t * dy
-        best[rows] = np.hypot(px - qx, py - qy).min(axis=1)
+    # fmin/fmax send a projection overflowed to nan (near 1e308) to an edge end
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_chunks(len(pts), len(ax)):
+            px, py = pts[rows, :1], pts[rows, 1:]
+            t = np.fmax(np.fmin(((px - ax) * dx + (py - ay) * dy) / seg2, 1.0), 0.0)
+            qx = ax + t * dx
+            qy = ay + t * dy
+            best[rows] = np.hypot(px - qx, py - qy).min(axis=1)
     return best
 
 

@@ -13,9 +13,10 @@ abstract payload units (1 unit = one id, level, count, or threshold):
    smaller bucket), and floods T = theta * C(dhat, 2) down the tree,
 5. one neighbor-list exchange; each node computes stress1 locally and is a
    candidate iff stress1 <= T,
-6. the decision rule, then an optional filter round in which a declaration
-   survives only if enough neighbors declared as well.  The one-hop rule
-   declares the candidates.  The default core rule adds three rounds:
+6. the decision rule, then a filter round in which a declaration survives
+   only if at least k = ``filter_min_boundary_neighbors`` neighbors declared
+   as well; k = 0 can drop nothing, so then no round is sent.  The one-hop
+   rule declares the candidates.  The default core rule adds three rounds:
    every node sends its stress1 (6a) and then S, the sum of stress1 over
    its closed neighborhood (6b); a candidate whose closed neighborhood has
    mean st at most G and that has at most J neighbors with a lower
@@ -81,13 +82,12 @@ class ProtocolConfig:
     ``theta`` sets the phase-5 threshold T = theta * C(dhat, 2); ``rule``
     selects the phase-6 decision: ``"core"`` (default), the neighborhood-core
     rule, or ``"one-hop"``, which declares exactly the nodes with
-    stress1 <= T.  The filter drops a declaration with fewer than
-    ``filter_min_boundary_neighbors`` declared neighbors.  These defaults
+    stress1 <= T.  Unless ``filter_min_boundary_neighbors`` is 0, a filter
+    round drops a declaration with fewer declared neighbors.  These defaults
     are the only copy: the CLI passes on only the options it is given.
     """
     theta: float = 1.0 / 3.0
     rule: str = "core"
-    filter_enabled: bool = True
     filter_min_boundary_neighbors: int = 2
     root: int | None = None      # None: min-id election; else explicit root id
 
@@ -401,20 +401,17 @@ def run_protocol(graph, config=None):
         declared = (cores_near >= _CORE_COUNT) | (degs <= 1)
 
     labels = declared.copy()
-    filtered = np.zeros(n, dtype=bool)
-    if config.filter_enabled:
+    if config.filter_min_boundary_neighbors:
         senders = np.count_nonzero(declared & (degs > 0))
         trace._log_round(6, senders, senders)
-        keep = declared & (adj @ declared >= config.filter_min_boundary_neighbors)
-        filtered = declared & ~keep
-        labels = keep
+        labels &= adj @ declared >= config.filter_min_boundary_neighbors
 
     trace.level = level
     trace.parent = parent
     trace.stress1 = s1.astype(np.int64)
     trace.declared = declared
     trace.core = core
-    trace.filtered = filtered
+    trace.filtered = declared & ~labels
     trace.labels = labels
     return labels, trace
 

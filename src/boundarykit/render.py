@@ -51,7 +51,7 @@ def _svg_document(network, colors, path, region, point_size):
     h = ymax - ymin
     margin = 0.04 * max(w, h)
     if point_size is None:
-        point_size = 0.3 * network.radius if network.radius else 0.01 * max(w, h)
+        point_size = 0.3 * network.radius
     elif not 0 < point_size < np.inf:  # false for nan
         raise ValueError("point size must be positive and finite")
     # SVG y grows downward; mirror model y inside the bounding box.

@@ -275,9 +275,19 @@ def test_protocol_theta_out_of_range(triangle_file, tmp_path):
 
 
 def test_protocol_no_filter(triangle_file, tmp_path):
-    rc = main(["protocol", "--network", str(triangle_file), "--no-filter",
+    rc = main(["protocol", "--network", str(triangle_file), "--min-boundary-neighbors", "0",
                "--out", str(tmp_path / "c.csv")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("option", ["--filter", "--no-filter"])
+def test_protocol_filter_switch_is_gone(triangle_file, tmp_path, capsys, option):
+    # --min-boundary-neighbors alone sets the filter; 0 turns it off
+    out, trace = tmp_path / "c.csv", tmp_path / "r.csv"
+    assert main(["protocol", "--network", str(triangle_file), option,
+                 "--out", str(out), "--trace", str(trace)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists()
 
 
 def test_protocol_defaults_are_the_library_defaults(tmp_path, region_file):
@@ -302,11 +312,11 @@ def test_protocol_defaults_are_the_library_defaults(tmp_path, region_file):
 
     plain = run("plain")
     assert (labels_of(plain[0]), plain[1]) == expected("plain", None)
-    assert run("spelled", "--theta", repr(1.0 / 3.0), "--rule", "core", "--filter",
+    assert run("spelled", "--theta", repr(1.0 / 3.0), "--rule", "core",
                "--min-boundary-neighbors", "2") == plain
-    # a false or zero option is passed on, and changes the output here
+    # a zero option is passed on, and changes the output here
     for base, option, config in (
-            ([], ["--no-filter"], {"filter_enabled": False}),
+            ([], ["--min-boundary-neighbors", "0"], {"filter_min_boundary_neighbors": 0}),
             (["--rule", "one-hop"], ["--min-boundary-neighbors", "0"],
              {"rule": "one-hop", "filter_min_boundary_neighbors": 0})):
         got = run("given", *base, *option)
@@ -436,6 +446,11 @@ _CLASS_HEAD = "node_id,x,y,degree,stress1,classification,filtered\n"
      "1,1.0,0.0,2,0,edge,0\n2,0.5,0.5,2,0,interior,0\n", 3),
     ("--classification", _CLASS_HEAD + "0,0.0,0.0,2,0,boundary,0\n"
      "0,0.0,0.0,2,0,interior,0\n", 3),
+    # a classification row has exactly the seven fields of its header
+    ("--classification", "node_id,x,y,degree,stress1,classification\n"
+     "0,0.0,0.0,2,0,boundary\n1,1.0,0.0,2,0,boundary\n2,0.5,0.5,2,0,interior\n", 2),
+    ("--classification", _CLASS_HEAD + "0,0.0,0.0,2,0,boundary,0\n"
+     "1,1.0,0.0,2,0,boundary,0,1,2\n2,0.5,0.5,2,0,interior,0\n", 3),
 ])
 def test_render_bad_values_exit_2_at_line(triangle_file, tmp_path, capsys, option, text, line):
     vals = tmp_path / "v.csv"

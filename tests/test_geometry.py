@@ -152,6 +152,8 @@ def test_contains_equals_zero_length_segments():
         pts = np.vstack([a, b, along.reshape(-1, 2), grid, rng.uniform(lo, hi, (3000, 2)), odd])
         with np.errstate(all="ignore"):
             on_edge = geometry._touching(pts[:, [0, 1, 0, 1]], e).any(axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = bk.contains(reg, pts)
         par = geometry._parities(reg, pts)
         assert np.array_equal(got, (par[:, 0] & ~par[:, 1:].any(axis=1)) | on_edge)
@@ -166,6 +168,20 @@ def test_contains_nonfinite_point_is_outside():
         warnings.simplefilter("error")
         assert not bk.contains(reg, bad).any()
         assert not any(bk.contains(reg, p) for p in bad)
+
+
+def test_huge_finite_point_answers_quietly():
+    # near 1e308 the cross products and the projection overflow; the answers
+    # stay plain: outside, and the distance to the far edge's nearest point
+    tri = bk.PolygonRegion([(0, 0), (4, 0), (0, 4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bk.contains(bk.square_with_hole(4.0, 2.0), (1e308, 1e308)) is False
+        d = bk.distances_to_boundary(tri, [[1e308, 1e308]])
+        far = bk.distances_to_boundary(bk.square_with_hole(4.0, 2.0),
+                                       [[1e308, 1e308], [-1e308, 1e308], [1.0, 1e308]])
+    assert d[0] == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-12)
+    assert far == pytest.approx([math.sqrt(2.0) * 1e308] * 2 + [1e308], rel=1e-12)
 
 
 @pytest.mark.parametrize("f", [bk.contains, bk.distance_to_boundary, bk.distances_to_boundary])

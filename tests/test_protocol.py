@@ -78,8 +78,11 @@ def test_config_validation():
 def test_config_has_only_the_parameters_callers_set():
     # the histogram cap and the smoothing window are protocol constants
     assert [f.name for f in dataclasses.fields(bk.ProtocolConfig)] == [
-        "theta", "rule", "filter_enabled", "filter_min_boundary_neighbors", "root"]
+        "theta", "rule", "filter_min_boundary_neighbors", "root"]
     assert (protocol._DEGREE_CAP, protocol._WINDOW) == (1024, 5)
+    # the filter threshold alone sets the filter
+    with pytest.raises(TypeError):
+        bk.ProtocolConfig(filter_enabled=False)
 
 
 # -- worked examples ---------------------------------------------------------
@@ -175,7 +178,7 @@ def test_phase4_one_pass_for_all_components(monkeypatch):
 
 
 def test_star_filter_off():
-    labels, trace = default_run(STAR3, filter_enabled=False)
+    labels, trace = default_run(STAR3, filter_min_boundary_neighbors=0)
     # leaves land at or below the threshold, the hub sticks out
     assert trace.declared.tolist() == [False, True, True, True]
     assert labels.tolist() == [False, True, True, True]
@@ -193,7 +196,7 @@ def test_single_node_silent():
     labels, trace = default_run([[]])
     assert trace.total_messages == 0
     assert labels.tolist() == [False]           # filter removes the declaration
-    labels2, _ = default_run([[]], filter_enabled=False)
+    labels2, _ = default_run([[]], filter_min_boundary_neighbors=0)
     assert labels2.tolist() == [True]
 
 
@@ -546,9 +549,27 @@ def test_stress1_counted_once_per_network(monkeypatch):
     assert_same_trace(trace, trace_fresh)
 
 
+def test_adjacency_lists_run_as_their_network():
+    # lists go through as_csr, and phase 5 counts stress1 on them, where the
+    # network later reads the count that bk.stress1 keeps
+    net = network(17, n=1500, side=8.0, r=0.8)
+    lists = [net.neighbors(v).tolist() for v in range(net.n)]
+    configs = [dict(rule=rule, filter_min_boundary_neighbors=k, root=root)
+               for rule in protocol.RULES for k in (0, 2) for root in (None, 17)]
+    for keeps in (False, True):
+        if keeps:
+            bk.stress1(net)
+            assert net._kept_stress1 is not None
+        for kw in configs:
+            labels, trace = default_run(net, **kw)
+            want_labels, want = default_run(lists, **kw)
+            assert same(labels, want_labels), kw
+            assert_same_trace(trace, want)
+
+
 def test_declarations_follow_local_rule():
     net = network(11)
-    labels, trace = default_run(net, filter_enabled=False, rule="one-hop")
+    labels, trace = default_run(net, filter_min_boundary_neighbors=0, rule="one-hop")
     for v in range(net.n):
         T = trace.components[trace.component_id[v]].threshold
         assert trace.declared[v] == bk.classify_local(int(trace.stress1[v]), T)
@@ -557,7 +578,7 @@ def test_declarations_follow_local_rule():
 
 def test_core_rule_follows_trace():
     net = network(13, n=1500, side=8.0, r=1.0)
-    labels, trace = default_run(net, filter_enabled=False)
+    labels, trace = default_run(net, filter_min_boundary_neighbors=0)
     n, degs, s1 = net.n, net.degrees, trace.stress1
     closed = [np.append(net.neighbors(v), v) for v in range(n)]
     st = bk.normalized_st(net)
@@ -622,17 +643,32 @@ def test_phase5_payload_is_degree_sum():
 
 def test_phase6_rounds_one_unit_per_sender():
     net = network(25)
-    _, trace = default_run(net)
-    rounds = [r for r in trace.rounds if r.phase == 6]
-    assert all(r.payload_units == r.messages for r in rounds)
     active = net.degrees > 0
-    # stress1, neighborhood sum S, core flags, then the filter round
-    assert [r.messages for r in rounds] == [
-        int(active.sum()), int(active.sum()),
-        int((trace.core & active).sum()), int((trace.declared & active).sum())]
-    _, one_hop = default_run(net, rule="one-hop")
-    assert [r.phase for r in one_hop.rounds].count(6) == 1
-    assert one_hop.core is None
+    for k in (2, 0):
+        _, trace = default_run(net, filter_min_boundary_neighbors=k)
+        rounds = [r for r in trace.rounds if r.phase == 6]
+        assert all(r.payload_units == r.messages for r in rounds)
+        # stress1, neighborhood sum S, core flags, then the filter round if k > 0
+        assert [r.messages for r in rounds] == [
+            int(active.sum()), int(active.sum()), int((trace.core & active).sum()),
+            int((trace.declared & active).sum())][:3 + (k > 0)]
+        _, one_hop = default_run(net, rule="one-hop", filter_min_boundary_neighbors=k)
+        assert [r.phase for r in one_hop.rounds].count(6) == (k > 0)
+        assert one_hop.core is None
+
+
+@pytest.mark.parametrize("rule", protocol.RULES)
+def test_zero_threshold_sends_no_filter_round(rule):
+    # a filter that needs 0 declared neighbours can drop nothing, so it is not run
+    net = network(7)
+    labels, trace = default_run(net, rule=rule, filter_min_boundary_neighbors=0)
+    assert [r.phase for r in trace.rounds].count(6) == (3 if rule == "core" else 0)
+    assert trace.filtered.dtype == bool and not trace.filtered.any()
+    assert np.array_equal(labels, trace.declared) and np.array_equal(trace.labels, labels)
+    # a threshold of 1 sends the same rounds, then the filter round
+    _, filtered = default_run(net, rule=rule, filter_min_boundary_neighbors=1)
+    assert filtered.rounds[:len(trace.rounds)] == trace.rounds
+    assert len(filtered.rounds) == len(trace.rounds) + 1
 
 
 def test_round_numbers_strictly_increase():
